@@ -12,40 +12,39 @@ from .closedform import (
     EigenbasisResult,
     EigenFamily,
     NonIntegralSpectrum,
-    QuadraticEig,
     SpectrumSpec,
     claimed_partition_sizes,
     eigenbasis_q4n,
-    is_integral,
     make_spectrum,
     multipartite_distance_charpoly,
     spectrum_for,
-    spectrum_metacyclic,
-    spectrum_q4n,
-    spectrum_qd,
     spectrum_to_polynomial,
-    spectrum_u6n,
 )
 from .exactalg import (
     DegenerateQuadratic,
     IntMatrix,
     IntPolynomial,
+    QuadraticEig,
     bareiss_determinant,
     char_poly,
     char_poly_interpolation,
     is_perfect_square,
-    poly_eq,
-    poly_mul,
-    poly_pow,
     rational_roots_of_quadratic,
 )
-from .graphs import (
+from .families import (
     ALL_KINDS,
+    FAMILIES,
+    GroupElement,
+    GroupSpec,
+    InvalidParameters,
+    MatrixKind,
+)
+from .graphs import (
     AbelianGroupError,
     DisconnectedGraph,
-    MatrixKind,
     NCGraph,
     NotCompleteMultipartite,
+    OrderCapExceeded,
     PartitionStructure,
     complete_multipartite,
     distance_matrix,
@@ -53,16 +52,13 @@ from .graphs import (
     dq_matrix,
     matrix_of_kind,
     non_commuting_graph,
+    oracle,
     part_major,
     partition_structure,
     transmissions,
 )
 from .groups import (
-    FAMILIES,
     FiniteGroup,
-    GroupElement,
-    GroupSpec,
-    InvalidParameters,
     center,
     centralizer,
     enumerate_elements,
@@ -72,11 +68,9 @@ from .groups import (
 from .verify import (
     DEFAULT_ORDER_CAP,
     IntegralityRecord,
-    OrderCapExceeded,
     VerificationReport,
     default_grid,
     integrality_record,
-    oracle_matrix,
     predicted_integral,
     search_integral,
     verify_grid,

@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .closedform import (
     QuadraticEig,
@@ -22,15 +23,21 @@ from .closedform import (
     spectrum_to_polynomial,
 )
 from .exactalg import char_poly
-from .graphs import ALL_KINDS, MatrixKind, NotCompleteMultipartite
-from .groups import FAMILIES, GroupSpec, InvalidParameters
+from .families import (
+    ALL_KINDS,
+    FAMILIES,
+    FAMILY_RECORDS,
+    GroupSpec,
+    InvalidParameters,
+    MatrixKind,
+)
+from .graphs import NotCompleteMultipartite, oracle
 from .verify import (
     DEFAULT_ORDER_CAP,
     IntegralityRecord,
     OrderCapExceeded,
     VerificationReport,
     _factor_out,
-    oracle_matrix,
     search_integral,
     verify_grid,
 )
@@ -94,17 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_spec(family: str, n: int, m: int | None) -> GroupSpec:
-    if family == "metacyclic":
-        if m is None:
-            raise InvalidParameters("metacyclic requires --m")
-        return GroupSpec.metacyclic(m, n)
-    if m is not None:
-        raise InvalidParameters(f"--m is only valid for metacyclic, not {family}")
-    if family == "q4n":
-        return GroupSpec.q4n(n)
-    if family == "qd":
-        return GroupSpec.qd(n)
-    return GroupSpec.u6n(n)
+    if m is None and FAMILY_RECORDS[family].min_m is not None:
+        raise InvalidParameters(f"{family} requires --m")
+    return GroupSpec(family, n, m)
 
 
 def _spectrum_entries(spectrum: SpectrumSpec) -> list[dict]:
@@ -122,10 +121,6 @@ def _spectrum_entries(spectrum: SpectrumSpec) -> list[dict]:
         else:
             out.append({"type": "integer", "value": str(desc), "mult": mult})
     return out
-
-
-def _params(spec: GroupSpec) -> dict[str, int]:
-    return spec.params()
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -148,23 +143,60 @@ def _csv_lines(header: list[str], rows: list[list]) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _spectrum_text(record: dict) -> list[str]:
-    head = " ".join(
-        [f"family={record['family']}"]
-        + [f"{k}={v}" for k, v in record["params"].items()]
-        + [f"matrix={record['matrix']}", f"order={record['order']}"]
-    )
-    lines = [head]
-    for e in record["spectrum"]:
-        if e["type"] == "integer":
-            lines.append(f"  {e['value']}  multiplicity {e['mult']}")
-        else:
-            quad = QuadraticEig(int(e["sum"]), int(e["product"]))
-            lines.append(f"  roots of {quad}  multiplicity {e['mult']}")
-    lines.append(f"integral: {str(record['integral']).lower()}")
-    if "charpoly" in record:
-        lines.append("charpoly (ascending): " + " ".join(record["charpoly"]))
+def _write(
+    args: argparse.Namespace,
+    records: list[dict],
+    text: Callable[[list[dict]], list[str]],
+    csv_header: list[str],
+    csv_rows: Callable[[dict], list[list]],
+) -> None:
+    """Write one command's records in the chosen --format to --out or stdout."""
+    if args.format == "json":
+        lines = [_json_line(r) for r in records]
+    elif args.format == "csv":
+        lines = _csv_lines(csv_header, [row for r in records for row in csv_rows(r)])
+    else:
+        lines = text(records)
+    _emit(lines, args.out)
+
+
+def _csv_key(record: dict) -> list:
+    """The leading CSV cells every command shares: family, m, n, matrix."""
+    params = record["params"]
+    return [record["family"], params.get("m", ""), params["n"], record["matrix"]]
+
+
+def _spectrum_text(records: list[dict]) -> list[str]:
+    lines = []
+    for record in records:
+        lines.append(" ".join(
+            [f"family={record['family']}"]
+            + [f"{k}={v}" for k, v in record["params"].items()]
+            + [f"matrix={record['matrix']}", f"order={record['order']}"]
+        ))
+        for e in record.get("spectrum", ()):
+            if e["type"] == "integer":
+                lines.append(f"  {e['value']}  multiplicity {e['mult']}")
+            else:
+                quad = QuadraticEig(int(e["sum"]), int(e["product"]))
+                lines.append(f"  roots of {quad}  multiplicity {e['mult']}")
+        lines.append(f"integral: {str(record['integral']).lower()}")
+        if "charpoly" in record:
+            lines.append("charpoly (ascending): " + " ".join(record["charpoly"]))
     return lines
+
+
+def _spectrum_rows(record: dict) -> list[list]:
+    """One row per spectrum entry, or one row of char poly coefficients."""
+    head = _csv_key(record) + [record["order"]]
+    integral = str(record["integral"]).lower()
+    if "spectrum" not in record:
+        return [head + ["charpoly", " ".join(record["charpoly"]), "", "", "", integral]]
+    return [
+        head + [e["type"], e.get("value", ""), e.get("sum", ""), e.get("product", ""),
+                e["mult"], integral]
+        for e in record["spectrum"]
+    ]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -173,7 +205,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     closed = spectrum_for(spec, kind)
     record: dict = {
         "family": spec.family,
-        "params": _params(spec),
+        "params": spec.params(),
         "matrix": kind.value,
         "order": closed.order,
         "method": args.method,
@@ -183,13 +215,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         record["spectrum"] = _spectrum_entries(closed)
         poly = spectrum_to_polynomial(closed)
     else:
-        matrix, _ = oracle_matrix(spec, kind)
-        if matrix.n > args.order_cap:
-            raise OrderCapExceeded(
-                f"{spec.label()} graph order {matrix.n} exceeds --order-cap "
-                f"{args.order_cap}"
-            )
-        poly = char_poly(matrix)
+        poly = char_poly(oracle(spec, kind, args.order_cap).matrix)
         residual, leftover = _factor_out(poly, closed)
         if residual.coeffs == (1,) and not leftover:
             record["spectrum"] = _spectrum_entries(closed)
@@ -198,48 +224,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     record["integral"] = closed.is_integral
     if include_poly:
         record["charpoly"] = [str(c) for c in poly.coeffs]
-    if args.format == "json":
-        _emit([_json_line(record)], args.out)
-    elif args.format == "csv":
-        rows = []
-        m = record["params"].get("m", "")
-        n = record["params"]["n"]
-        for e in record.get("spectrum", []):
-            if e["type"] == "integer":
-                rows.append(
-                    [record["family"], m, n, record["matrix"], record["order"],
-                     "integer", e["value"], "", "", e["mult"],
-                     str(record["integral"]).lower()]
-                )
-            else:
-                rows.append(
-                    [record["family"], m, n, record["matrix"], record["order"],
-                     "quadratic", "", e["sum"], e["product"], e["mult"],
-                     str(record["integral"]).lower()]
-                )
-        if not rows:
-            rows.append(
-                [record["family"], m, n, record["matrix"], record["order"],
-                 "charpoly", " ".join(record["charpoly"]), "", "", "",
-                 str(record["integral"]).lower()]
-            )
-        _emit(
-            _csv_lines(
-                ["family", "m", "n", "matrix", "order", "type", "value",
-                 "sum", "product", "mult", "integral"],
-                rows,
-            ),
-            args.out,
-        )
-    else:
-        _emit(_spectrum_text(record), args.out)
+    _write(
+        args, [record], _spectrum_text,
+        ["family", "m", "n", "matrix", "order", "type", "value", "sum", "product",
+         "mult", "integral"],
+        _spectrum_rows,
+    )
     return 0
 
 
 def _verify_record(report: VerificationReport) -> dict:
     record: dict = {
         "family": report.group.family,
-        "params": _params(report.group),
+        "params": report.group.params(),
         "matrix": report.kind.value,
         "order": report.order,
         "matched": report.matched,
@@ -255,69 +252,56 @@ def _verify_record(report: VerificationReport) -> dict:
     return record
 
 
+def _verify_text(records: list[dict]) -> list[str]:
+    lines = []
+    for rec in records:
+        params = rec["params"]
+        label = FAMILY_RECORDS[rec["family"]].label(params["n"], params.get("m"))
+        tag = "ERROR" if rec.get("error") else "ok" if rec["matched"] else "MISMATCH"
+        lines.append(f"[{tag}] {label} matrix={rec['matrix']} order={rec['order']}")
+        if rec.get("error"):
+            lines.append(f"    {rec['error']}")
+        elif not rec["matched"]:
+            lines.append(f"    {rec['diff']}")
+            lines.append(f"    residual oracle factor: {rec['residual']}")
+            for item in rec["unmatched_closed"]:
+                lines.append(
+                    f"    unmatched closed factor: ({item['factor']})^{item['mult']}"
+                )
+    ok = sum(1 for r in records if r["matched"])
+    lines.append(f"{ok}/{len(records)} matched")
+    return lines
+
+
+def _verify_rows(record: dict) -> list[list]:
+    return [
+        _csv_key(record) + [record["order"], str(record["matched"]).lower(),
+                            record.get("error") or record.get("diff", "")]
+    ]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.n_range
-    if args.group == "metacyclic":
-        if args.m_range is None:
-            raise InvalidParameters("metacyclic requires --m-range")
-        mlo, mhi = args.m_range
-        specs = [
-            GroupSpec.metacyclic(m, n)
-            for m in range(mlo, mhi + 1)
-            for n in range(lo, hi + 1)
-        ]
-    else:
-        if args.m_range is not None:
-            raise InvalidParameters("--m-range is only valid for metacyclic")
-        specs = [_make_spec(args.group, n, None) for n in range(lo, hi + 1)]
+    takes_m = FAMILY_RECORDS[args.group].min_m is not None
+    if takes_m != (args.m_range is not None):
+        need = "requires" if takes_m else "takes no"
+        raise InvalidParameters(f"{args.group} {need} --m-range")
+    ms = range(args.m_range[0], args.m_range[1] + 1) if takes_m else (None,)
+    specs = [GroupSpec(args.group, n, m) for m in ms for n in range(lo, hi + 1)]
     kinds = ALL_KINDS if args.matrix == "all" else (MatrixKind(args.matrix),)
     reports = verify_grid(specs, kinds, order_cap=args.order_cap, jobs=args.jobs)
     records = [_verify_record(r) for r in reports]
-    if args.format == "json":
-        _emit([_json_line(r) for r in records], args.out)
-    elif args.format == "csv":
-        rows = [
-            [r["family"], r["params"].get("m", ""), r["params"]["n"], r["matrix"],
-             r["order"], str(r["matched"]).lower(),
-             r.get("error") or r.get("diff", "")]
-            for r in records
-        ]
-        _emit(
-            _csv_lines(
-                ["family", "m", "n", "matrix", "order", "matched", "detail"], rows
-            ),
-            args.out,
-        )
-    else:
-        lines = []
-        for rep, rec in zip(reports, records):
-            tag = "ok" if rec["matched"] else "MISMATCH"
-            if rec.get("error"):
-                tag = "ERROR"
-            head = (
-                f"[{tag}] {rep.group.label()} matrix={rec['matrix']} "
-                f"order={rec['order']}"
-            )
-            lines.append(head)
-            if rec.get("error"):
-                lines.append(f"    {rec['error']}")
-            elif not rec["matched"]:
-                lines.append(f"    {rec['diff']}")
-                lines.append(f"    residual oracle factor: {rec['residual']}")
-                for item in rec["unmatched_closed"]:
-                    lines.append(
-                        f"    unmatched closed factor: ({item['factor']})^{item['mult']}"
-                    )
-        ok = sum(1 for r in records if r["matched"])
-        lines.append(f"{ok}/{len(records)} matched")
-        _emit(lines, args.out)
+    _write(
+        args, records, _verify_text,
+        ["family", "m", "n", "matrix", "order", "matched", "detail"], _verify_rows,
+    )
     return 0 if all(r["matched"] and "error" not in r for r in records) else 1
 
 
 def _search_record(rec: IntegralityRecord) -> dict:
     return {
         "family": rec.group.family,
-        "params": _params(rec.group),
+        "params": rec.group.params(),
         "matrix": rec.kind.value,
         "predicted": rec.predicted_integral,
         "computed": rec.computed_integral,
@@ -326,45 +310,34 @@ def _search_record(rec: IntegralityRecord) -> dict:
     }
 
 
+def _search_text(records: list[dict]) -> list[str]:
+    lines = []
+    for d in records:
+        mark = "integral" if d["computed"] else "NOT integral"
+        extra = "" if d["predicted"] == d["computed"] else (
+            f"  [condition disagrees: predicted="
+            f"{str(d['predicted']).lower()}, {d['note']}]"
+        )
+        params = " ".join(f"{k}={v}" for k, v in d["params"].items())
+        witness = f" witness={d['witness']}" if d["witness"] else ""
+        lines.append(
+            f"{d['family']} {params} matrix={d['matrix']}: {mark}{witness}{extra}"
+        )
+    return lines or ["no integral parameters found"]
+
+
 def cmd_search_integral(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise InvalidParameters(f"--max-n must be at least 1, got {args.max_n}")
-    specs = []
-    for n in range(1, args.max_n + 1):
-        try:
-            specs.append(_make_spec(args.group, n, args.m))
-        except InvalidParameters as exc:
-            if "requires --m" in str(exc) or "--m is only valid" in str(exc):
-                raise
-            continue
-    kind = MatrixKind(args.matrix)
-    records = search_integral(specs, kind)
-    dicts = [_search_record(r) for r in records]
-    if args.format == "json":
-        _emit([_json_line(d) for d in dicts], args.out)
-    elif args.format == "csv":
-        rows = [
-            [d["family"], d["params"].get("m", ""), d["params"]["n"],
-             d["matrix"], d["witness"] or ""]
-            for d in dicts
-        ]
-        _emit(_csv_lines(["family", "m", "n", "matrix", "witness"], rows), args.out)
-    else:
-        lines = []
-        for d in dicts:
-            mark = "integral" if d["computed"] else "NOT integral"
-            extra = "" if d["predicted"] == d["computed"] else (
-                f"  [condition disagrees: predicted="
-                f"{str(d['predicted']).lower()}, {d['note']}]"
-            )
-            params = " ".join(f"{k}={v}" for k, v in d["params"].items())
-            witness = f" witness={d['witness']}" if d["witness"] else ""
-            lines.append(
-                f"{d['family']} {params} matrix={d['matrix']}: {mark}{witness}{extra}"
-            )
-        if not lines:
-            lines.append("no integral parameters found")
-        _emit(lines, args.out)
+    lowest = FAMILY_RECORDS[args.group].min_n
+    _make_spec(args.group, lowest, args.m)  # rejects a bad --m even for an empty scan
+    specs = [GroupSpec(args.group, n, args.m) for n in range(lowest, args.max_n + 1)]
+    records = search_integral(specs, MatrixKind(args.matrix))
+    _write(
+        args, [_search_record(r) for r in records], _search_text,
+        ["family", "m", "n", "matrix", "witness"],
+        lambda d: [_csv_key(d) + [d["witness"] or ""]],
+    )
     return 0
 
 

@@ -1,8 +1,9 @@
 """Closed-form spectra of the non-commuting graphs of the four families.
 
-Every function here transcribes a stated closed form exactly as written,
-including forms suspected of being misprints; the verifier, not this module,
-arbitrates each claim against the characteristic-polynomial oracle.
+The stated closed forms are transcribed in `ncgspectra.families`, one record
+per family; this module normalizes them into canonical spectra, expands them
+into polynomials, and builds explicit eigenvector families for Q_4n.  The
+verifier, not this module, arbitrates each claim against the oracle.
 
 Conjugate surd eigenvalue pairs are stored as monic integer quadratics by
 (sum, product), never as floating radicals.  Whenever such a pair has a
@@ -13,67 +14,20 @@ pair with a square discriminant ever appears in output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .exactalg import (
-    IntMatrix,
     IntPolynomial,
     POLY_ONE,
-    is_perfect_square,
+    QuadraticEig,
     rational_roots_of_quadratic,
 )
-from .graphs import (
-    MatrixKind,
-    PartitionStructure,
-    distance_matrix,
-    matrix_of_kind,
-    non_commuting_graph,
-    part_major,
-)
-from .groups import (
-    METACYCLIC,
-    Q4N,
-    QD,
-    U6N,
-    GroupSpec,
-    InvalidParameters,
-    enumerate_elements,
-)
+from .families import EigDesc, GroupSpec, MatrixKind, scaled_root_pair
+from .graphs import PartitionStructure, oracle
 
 
 class NonIntegralSpectrum(ValueError):
     """A non-integer rational eigenvalue survived normalization."""
-
-
-@dataclass(frozen=True)
-class QuadraticEig:
-    """The two roots of x^2 - s*x + p, stored exactly by sum and product."""
-
-    s: int
-    p: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.s * self.s - 4 * self.p
-
-    def __str__(self) -> str:
-        return str(IntPolynomial((self.p, -self.s, 1)))
-
-    def integer_roots(self) -> tuple[int, int] | None:
-        """Both roots when the discriminant is a perfect square, else None.
-
-        A monic integer quadratic with rational roots has integer roots, and
-        s and sqrt(disc) always share parity, so the halving below is exact.
-        """
-        sq = is_perfect_square(self.discriminant)
-        if sq is None:
-            return None
-        if (self.s - sq) % 2:
-            raise ArithmeticError(f"parity violation in {self}")
-        return ((self.s - sq) // 2, (self.s + sq) // 2)
-
-
-EigDesc = Union[int, QuadraticEig]
 
 
 @dataclass(frozen=True)
@@ -99,15 +53,6 @@ class SpectrumSpec:
     @property
     def is_integral(self) -> bool:
         return all(isinstance(d, int) for d, _ in self.entries)
-
-    def multiplicity(self, value: int) -> int:
-        for d, m in self.entries:
-            if d == value:
-                return m
-        return 0
-
-    def to_polynomial(self) -> IntPolynomial:
-        return spectrum_to_polynomial(self)
 
 
 def make_spectrum(
@@ -143,11 +88,6 @@ def make_spectrum(
             f"multiplicities sum to {spec.eigenvalue_count}, expected {order}"
         )
     return spec
-
-
-def is_integral(spectrum: SpectrumSpec) -> bool:
-    """True iff every normalized entry is an integer."""
-    return spectrum.is_integral
 
 
 def spectrum_to_polynomial(spectrum: SpectrumSpec) -> IntPolynomial:
@@ -193,228 +133,21 @@ def multipartite_distance_charpoly(
     return IntPolynomial((2, 1)) ** (total - k) * bracket
 
 
-def _scaled_root_pair(
-    tquad: tuple[int, int, int], scale: int, offset: int
-) -> QuadraticEig:
-    """Monic quadratic satisfied by scale*t + offset where qa*t^2 + qb*t + qc = 0.
-
-    Eliminates t exactly; requires qa to divide qb*scale and qc*scale^2, which
-    holds for every family because qa divides scale.
-    """
-    qa, qb, qc = tquad
-    if qa == 0:
-        raise ValueError("degenerate quadratic for t")
-    b_num = qb * scale
-    c_num = qc * scale * scale
-    if b_num % qa or c_num % qa:
-        raise ArithmeticError("elimination does not stay integral")
-    b = b_num // qa
-    c = c_num // qa
-    return QuadraticEig(2 * offset - b, offset * offset - b * offset + c)
-
-
-def spectrum_q4n(kind: MatrixKind, n: int) -> SpectrumSpec:
-    """Spectrum of the chosen matrix of the non-commuting graph of Q_4n.
-
-    The graph is K_{2n-2, 2 x n} of order 4n-2.  The signless-Laplacian
-    exceptional eigenvalues are (2n-2)t + (6n-2) for the two roots t of
-    (2n-2)x^2 + (10-4n)x - 2n = 0, eliminated into a monic pair.
-    """
-    if n < 2:
-        raise InvalidParameters(f"q4n requires n >= 2, got n={n}")
-    order = 4 * n - 2
-    if kind == MatrixKind.DISTANCE:
-        raw = [
-            (-2, 3 * n - 3),
-            (0, n - 1),
-            (QuadraticEig(6 * (n - 1), 4 * n * (n - 2)), 1),
-        ]
-    elif kind == MatrixKind.DISTANCE_LAPLACIAN:
-        raw = [(0, 1), (4 * n - 2, n), (4 * n, n), (6 * n - 4, 2 * n - 3)]
-    else:
-        pair = _scaled_root_pair(
-            (2 * n - 2, 10 - 4 * n, -2 * n), 2 * n - 2, 6 * n - 2
-        )
-        raw = [
-            (4 * n - 4, n),
-            (6 * n - 8, 2 * n - 3),
-            (4 * n - 2, n - 1),
-            (pair, 1),
-        ]
-    return make_spectrum(order, kind, raw)
-
-
-def spectrum_qd(kind: MatrixKind, n: int) -> SpectrumSpec:
-    """Spectrum for the quasidihedral group of order 2^n.
-
-    The graph is K_{2^(n-1)-2, 2 x 2^(n-2)}.  The signless-Laplacian
-    exceptional eigenvalues are taken as printed in the source closed form,
-    t*(2^(n-1)-2) + 3*(2^(n-1)-2); the verifier arbitrates that constant.
-    """
-    if n < 4:
-        raise InvalidParameters(f"qd requires n >= 4, got n={n}")
-    half = 2 ** (n - 1)
-    quarter = 2 ** (n - 2)
-    order = 2**n - 2
-    if kind == MatrixKind.DISTANCE:
-        raw = [
-            (-2, 3 * quarter - 3),
-            (0, quarter - 1),
-            (QuadraticEig(6 * (quarter - 1), 4 * quarter * (quarter - 2)), 1),
-        ]
-    elif kind == MatrixKind.DISTANCE_LAPLACIAN:
-        raw = [
-            (0, 1),
-            (2**n - 2, quarter),
-            (2**n, quarter),
-            (2**n + half - 4, half - 3),
-        ]
-    else:
-        pair = _scaled_root_pair(
-            (half - 2, -(2**n - 10), -half), half - 2, 3 * (half - 2)
-        )
-        raw = [
-            (2**n - 4, quarter),
-            (2**n - 2, quarter - 1),
-            (2**n + half - 8, half - 3),
-            (pair, 1),
-        ]
-    return make_spectrum(order, kind, raw)
-
-
-def spectrum_u6n(kind: MatrixKind, n: int) -> SpectrumSpec:
-    """Spectrum for the group U_6n; the graph is K_{2n, n, n, n} of order 5n."""
-    if n < 1:
-        raise InvalidParameters(f"u6n requires n >= 1, got n={n}")
-    order = 5 * n
-    if kind == MatrixKind.DISTANCE:
-        raw = [
-            (-2, 5 * n - 4),
-            (n - 2, 2),
-            (QuadraticEig(8 * n - 4, (4 * n - 2) ** 2 - 6 * n * n), 1),
-        ]
-    elif kind == MatrixKind.DISTANCE_LAPLACIAN:
-        raw = [(0, 1), (5 * n, 3), (6 * n, 3 * (n - 1)), (7 * n, 2 * n - 1)]
-    else:
-        raw = [
-            (6 * n - 4, 3 * (n - 1)),
-            (7 * n - 4, 2 * n + 1),
-            (8 * n - 4, 1),
-            (13 * n - 4, 1),
-        ]
-    return make_spectrum(order, kind, raw)
-
-
-def spectrum_metacyclic(kind: MatrixKind, m: int, n: int) -> SpectrumSpec:
-    """Spectrum for the metacyclic group of order 2mn, dispatching on parity of m.
-
-    The graph is K_{(m-1)n, n x m} for odd m and K_{(m-2)n, 2n x m/2} for even
-    m.  For the signless Laplacian the even case further splits at m = 4,
-    where all parts coincide in size.  The quadratics defining the exceptional
-    eigenvalues are read with middle terms (2m-5)x and 2(m-5)x respectively;
-    the verifier arbitrates those readings.
-    """
-    if m <= 2:
-        raise InvalidParameters(f"metacyclic requires m > 2, got m={m}")
-    if n < 1:
-        raise InvalidParameters(f"metacyclic requires n >= 1, got n={n}")
-    if m % 2:
-        order = (2 * m - 1) * n
-        if kind == MatrixKind.DISTANCE:
-            s = 3 * m * n - n - 4
-            num = s * s - n * n * (5 * m * m - 10 * m + 9)
-            if num % 4:
-                raise ArithmeticError("distance pair product is not integral")
-            raw = [
-                (-2, 2 * m * n - (m + n) - 1),
-                (n - 2, m - 1),
-                (QuadraticEig(s, num // 4), 1),
-            ]
-        elif kind == MatrixKind.DISTANCE_LAPLACIAN:
-            raw = [
-                (0, 1),
-                (n * (2 * m - 1), m),
-                (2 * m * n, m * (n - 1)),
-                ((3 * m - 2) * n, (m - 1) * n - 1),
-            ]
-        else:
-            pair = _scaled_root_pair(
-                (m - 1, -(2 * m - 5), -m), n * (m - 1), 3 * m * n + n - 4
-            )
-            raw = [
-                (2 * m * n - 4, m * (n - 1)),
-                ((2 * m + 1) * n - 4, m - 1),
-                ((3 * m - 2) * n - 4, (m - 1) * n - 1),
-                (pair, 1),
-            ]
-        return make_spectrum(order, kind, raw)
-
-    half = m // 2
-    order = 2 * n * (m - 1)
-    if kind == MatrixKind.DISTANCE:
-        s = 3 * m * n - 2 * n - 4
-        num = s * s - n * n * (5 * m * m - 20 * m + 36)
-        if num % 4:
-            raise ArithmeticError("distance pair product is not integral")
-        raw = [
-            (-2, 2 * n * (m - 1) - half - 1),
-            (2 * n - 2, half - 1),
-            (QuadraticEig(s, num // 4), 1),
-        ]
-    elif kind == MatrixKind.DISTANCE_LAPLACIAN:
-        raw = [
-            (0, 1),
-            (2 * n * (m - 1), half),
-            (2 * m * n, (2 * n - 1) * half),
-            ((3 * m - 4) * n, (half - 1) * 2 * n - 1),
-        ]
-    elif m == 4:
-        raw = [
-            (8 * n - 4, 3 * (2 * n - 1)),
-            (10 * n - 4, 2),
-            (16 * n - 4, 1),
-        ]
-    else:
-        pair = _scaled_root_pair(
-            (m - 2, -2 * (m - 5), -m), n * (m - 2), 3 * m * n + 2 * n - 4
-        )
-        raw = [
-            (3 * m * n - 4 * n - 4, (m - 2) * n - 1),
-            (4 * m * n - 4 * n - 4, (2 * n - 1) * half),
-            (2 * m * n - 4, half - 1),
-            (pair, 1),
-        ]
-    return make_spectrum(order, kind, raw)
-
-
 def spectrum_for(spec: GroupSpec, kind: MatrixKind) -> SpectrumSpec:
-    """Dispatch to the family's closed form."""
-    if spec.family == Q4N:
-        return spectrum_q4n(kind, spec.n)
-    if spec.family == QD:
-        return spectrum_qd(kind, spec.n)
-    if spec.family == U6N:
-        return spectrum_u6n(kind, spec.n)
-    return spectrum_metacyclic(kind, spec.m, spec.n)
+    """The family's stated closed-form spectrum of the chosen matrix, normalized.
+
+    The multiplicities must add up to the order of the claimed graph.
+    """
+    record = spec.record
+    n, m = spec.n, spec.m
+    big, size, count = record.parts(n, m)
+    return make_spectrum(big + size * count, kind, record.closed_forms[kind](n, m))
 
 
 def claimed_partition_sizes(spec: GroupSpec) -> tuple[int, ...]:
-    """Part sizes the family's non-commuting graph is claimed to have.
-
-    Q_4n -> K_{2n-2, 2 x n}; QD_2^n -> K_{2^(n-1)-2, 2 x 2^(n-2)};
-    U_6n -> K_{2n, n, n, n}; M_2mn -> K_{(m-1)n, n x m} for odd m and
-    K_{(m-2)n, 2n x m/2} for even m.  Always listed largest part first.
-    """
-    if spec.family == Q4N:
-        return (2 * spec.n - 2,) + (2,) * spec.n
-    if spec.family == QD:
-        return (2 ** (spec.n - 1) - 2,) + (2,) * (2 ** (spec.n - 2))
-    if spec.family == U6N:
-        return (2 * spec.n,) + (spec.n,) * 3
-    m, n = spec.m, spec.n
-    if m % 2:
-        return ((m - 1) * n,) + (n,) * m
-    return ((m // 2 - 1) * 2 * n,) + (2 * n,) * (m // 2)
+    """Part sizes the family's non-commuting graph is claimed to have, largest first."""
+    big, size, count = spec.record.parts(spec.n, spec.m)
+    return (big,) + (size,) * count
 
 
 @dataclass(frozen=True)
@@ -461,26 +194,22 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     """
     if kind == MatrixKind.DISTANCE:
         raise ValueError("eigenbasis is available for dl and dq only")
-    if n < 2:
-        raise InvalidParameters(f"q4n requires n >= 2, got n={n}")
-    group = enumerate_elements(GroupSpec.q4n(n))
-    graph, partition = part_major(non_commuting_graph(group))
-    matrix = matrix_of_kind(distance_matrix(graph), kind)
-    order = 4 * n - 2
-    big = 2 * n - 2
-    if partition.sizes != (big,) + (2,) * n:
-        raise ValueError(f"unexpected partition {partition.sizes} for Q_4n")
+    spec = GroupSpec.q4n(n)
+    matrix = oracle(spec, kind).matrix
+    order = matrix.n
+    big = claimed_partition_sizes(spec)[0]
 
     def small(p: int) -> int:
         return big + 2 * p
 
-    families = []
+    small_diff = tuple(
+        _basis_vector(order, {small(p): -1, small(p) + 1: 1}) for p in range(n)
+    )
+    big_diff = tuple(_basis_vector(order, {0: -1, i: 1}) for i in range(1, big))
     irrational: QuadraticEig | None = None
     if kind == MatrixKind.DISTANCE_LAPLACIAN:
-        families.append(
-            EigenFamily(0, "all-ones", (tuple([1] * order),))
-        )
-        families.append(
+        families = [
+            EigenFamily(0, "all-ones", (tuple([1] * order),)),
             EigenFamily(
                 4 * n - 2,
                 "big-part-vs-one-small-part",
@@ -491,48 +220,14 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
                     )
                     for p in range(n)
                 ),
-            )
-        )
-        families.append(
-            EigenFamily(
-                4 * n,
-                "small-part-difference",
-                tuple(
-                    _basis_vector(order, {small(p): -1, small(p) + 1: 1})
-                    for p in range(n)
-                ),
-            )
-        )
-        families.append(
-            EigenFamily(
-                6 * n - 4,
-                "big-part-difference",
-                tuple(
-                    _basis_vector(order, {0: -1, i: 1}) for i in range(1, big)
-                ),
-            )
-        )
+            ),
+            EigenFamily(4 * n, "small-part-difference", small_diff),
+            EigenFamily(6 * n - 4, "big-part-difference", big_diff),
+        ]
     else:
-        families.append(
-            EigenFamily(
-                4 * n - 4,
-                "small-part-difference",
-                tuple(
-                    _basis_vector(order, {small(p): -1, small(p) + 1: 1})
-                    for p in range(n)
-                ),
-            )
-        )
-        families.append(
-            EigenFamily(
-                6 * n - 8,
-                "big-part-difference",
-                tuple(
-                    _basis_vector(order, {0: -1, i: 1}) for i in range(1, big)
-                ),
-            )
-        )
-        families.append(
+        families = [
+            EigenFamily(4 * n - 4, "small-part-difference", small_diff),
+            EigenFamily(6 * n - 8, "big-part-difference", big_diff),
             EigenFamily(
                 4 * n - 2,
                 "small-part-vs-small-part",
@@ -548,12 +243,12 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
                     )
                     for p in range(1, n)
                 ),
-            )
-        )
-        tquad = (2 * n - 2, 10 - 4 * n, -2 * n)
+            ),
+        ]
+        tquad = spec.record.t_quadratic(n, None)
         roots = rational_roots_of_quadratic(*tquad)
         if roots is None:
-            irrational = _scaled_root_pair(tquad, 2 * n - 2, 6 * n - 2)
+            irrational = scaled_root_pair(tquad, 2 * n - 2, 6 * n - 2)
         else:
             for t in roots:
                 num, den = t.numerator, t.denominator

@@ -185,25 +185,8 @@ class IntPolynomial:
     def x_minus(c: int) -> "IntPolynomial":
         return IntPolynomial((-c, 1))
 
-    @staticmethod
-    def constant(c: int) -> "IntPolynomial":
-        return IntPolynomial((c,))
-
 
 POLY_ONE = IntPolynomial((1,))
-POLY_X = IntPolynomial((0, 1))
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
-def poly_pow(p: IntPolynomial, k: int) -> IntPolynomial:
-    return p**k
-
-
-def poly_eq(p: IntPolynomial, q: IntPolynomial) -> bool:
-    return p == q
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -336,3 +319,31 @@ def rational_roots_of_quadratic(
     r1 = Fraction(-b - s, 2 * a)
     r2 = Fraction(-b + s, 2 * a)
     return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+@dataclass(frozen=True)
+class QuadraticEig:
+    """The two roots of x^2 - s*x + p, stored exactly by sum and product."""
+
+    s: int
+    p: int
+
+    @property
+    def discriminant(self) -> int:
+        return self.s * self.s - 4 * self.p
+
+    def __str__(self) -> str:
+        return str(IntPolynomial((self.p, -self.s, 1)))
+
+    def integer_roots(self) -> tuple[int, int] | None:
+        """Both roots when the discriminant is a perfect square, else None.
+
+        A monic integer quadratic with rational roots has integer roots, and
+        s and sqrt(disc) always share parity, so the halving below is exact.
+        """
+        sq = is_perfect_square(self.discriminant)
+        if sq is None:
+            return None
+        if (self.s - sq) % 2:
+            raise ArithmeticError(f"parity violation in {self}")
+        return ((self.s - sq) // 2, (self.s + sq) // 2)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import IntMatrix
-from .groups import FiniteGroup, center
+from .families import GroupSpec, MatrixKind
+from .groups import FiniteGroup, center, enumerate_elements
 
 
 class AbelianGroupError(ValueError):
@@ -28,20 +28,8 @@ class DisconnectedGraph(ValueError):
     """Some vertex pair has no connecting path."""
 
 
-class MatrixKind(str, Enum):
-    DISTANCE = "d"
-    DISTANCE_LAPLACIAN = "dl"
-    DISTANCE_SIGNLESS_LAPLACIAN = "dq"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-ALL_KINDS = (
-    MatrixKind.DISTANCE,
-    MatrixKind.DISTANCE_LAPLACIAN,
-    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN,
-)
+class OrderCapExceeded(ValueError):
+    """Graph order exceeds the configured verification cap."""
 
 
 @dataclass(frozen=True)
@@ -231,3 +219,26 @@ def matrix_of_kind(dist: IntMatrix, kind: MatrixKind) -> IntMatrix:
     if kind == MatrixKind.DISTANCE_LAPLACIAN:
         return dl_matrix(dist)
     return dq_matrix(dist)
+
+
+class Oracle(NamedTuple):
+    """Staged results of the oracle pipeline, up to the matrix."""
+
+    graph: NCGraph
+    partition: PartitionStructure
+    matrix: IntMatrix
+
+
+def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> Oracle:
+    """Group -> graph -> order-cap check -> certified part-major graph -> matrix.
+
+    The cap (None for no cap) is checked on the graph order before the graph
+    is certified and before any matrix is built.
+    """
+    graph = non_commuting_graph(enumerate_elements(spec))
+    if order_cap is not None and graph.order > order_cap:
+        raise OrderCapExceeded(
+            f"{spec.label()} graph order {graph.order} exceeds cap {order_cap}"
+        )
+    graph, partition = part_major(graph)
+    return Oracle(graph, partition, matrix_of_kind(distance_matrix(graph), kind))

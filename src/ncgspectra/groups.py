@@ -1,145 +1,30 @@
-"""The four group families, realized with normal-form element arithmetic.
+"""Finite groups of the four families, enumerated with normal-form arithmetic.
 
-Each group is presented by two generators a, b and every element has a unique
-normal form a^i b^j with 0 <= i < order(a), 0 <= j < order(b).  Products are
-rewritten into normal form using the family's defining relations:
-
-* generalized quaternion Q_4n:  a^(2n) = 1, a^n = b^2, b a = a^-1 b
-  (b^2 = a^n is folded into the normal form, so j in {0, 1})
-* quasidihedral QD_2^n:         a^(2^(n-1)) = b^2 = 1, b a b^-1 = a^(2^(n-2)-1)
-* U_6n:                         a^(2n) = b^3 = 1, a^-1 b a = b^-1
-* metacyclic M_2mn:             a^m = b^(2n) = 1, b a b^-1 = a^-1
+Each family's presentation and rewrite rule live in its record in
+`ncgspectra.families`; this module enumerates the normal forms, binds the
+rule once per group, and computes centres, centralizers and the CA property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
-
-class InvalidParameters(ValueError):
-    """Group family parameters violate their bounds."""
-
-
-class GroupElement(NamedTuple):
-    a_exp: int
-    b_exp: int
-
-    def __repr__(self) -> str:
-        return f"a{self.a_exp}b{self.b_exp}"
-
-
-Q4N = "q4n"
-QD = "qd"
-U6N = "u6n"
-METACYCLIC = "metacyclic"
-FAMILIES = (Q4N, QD, U6N, METACYCLIC)
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A family tag plus its parameters.  Prefer the named constructors."""
-
-    family: str
-    n: int
-    m: int | None = None
-
-    def __post_init__(self) -> None:
-        f = self.family
-        if f not in FAMILIES:
-            raise InvalidParameters(f"unknown family {f!r}, expected one of {FAMILIES}")
-        if f == Q4N and self.n < 2:
-            raise InvalidParameters(f"q4n requires n >= 2, got n={self.n}")
-        if f == QD and self.n < 4:
-            raise InvalidParameters(f"qd requires n >= 4, got n={self.n}")
-        if f == U6N and self.n < 1:
-            raise InvalidParameters(f"u6n requires n >= 1, got n={self.n}")
-        if f == METACYCLIC:
-            if self.m is None or self.m <= 2:
-                raise InvalidParameters(f"metacyclic requires m > 2, got m={self.m}")
-            if self.n < 1:
-                raise InvalidParameters(f"metacyclic requires n >= 1, got n={self.n}")
-        elif self.m is not None:
-            raise InvalidParameters(f"family {f!r} takes no parameter m")
-
-    @staticmethod
-    def q4n(n: int) -> "GroupSpec":
-        return GroupSpec(Q4N, n)
-
-    @staticmethod
-    def qd(n: int) -> "GroupSpec":
-        return GroupSpec(QD, n)
-
-    @staticmethod
-    def u6n(n: int) -> "GroupSpec":
-        return GroupSpec(U6N, n)
-
-    @staticmethod
-    def metacyclic(m: int, n: int) -> "GroupSpec":
-        return GroupSpec(METACYCLIC, n, m)
-
-    def generator_orders(self) -> tuple[int, int]:
-        """Normal-form ranges (order of a, order of b) for this family."""
-        if self.family == Q4N:
-            return 2 * self.n, 2
-        if self.family == QD:
-            return 2 ** (self.n - 1), 2
-        if self.family == U6N:
-            return 2 * self.n, 3
-        return self.m, 2 * self.n
-
-    @property
-    def order(self) -> int:
-        oa, ob = self.generator_orders()
-        return oa * ob
-
-    def label(self) -> str:
-        if self.family == Q4N:
-            return f"Q_{4 * self.n}"
-        if self.family == QD:
-            return f"QD_{2 ** self.n}"
-        if self.family == U6N:
-            return f"U_{6 * self.n}"
-        return f"M_{2 * self.m * self.n}"
-
-    def params(self) -> dict[str, int]:
-        if self.family == METACYCLIC:
-            return {"m": self.m, "n": self.n}
-        return {"n": self.n}
+from .families import GroupElement, GroupSpec, Rule
 
 
 def multiply(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
     """Normal form of the product x*y under the family's rewrite rules."""
-    i, j = x
-    k, l = y
-    f = spec.family
-    if f == Q4N:
-        nn = 2 * spec.n
-        if j == 0:
-            return GroupElement((i + k) % nn, l)
-        if l == 0:
-            return GroupElement((i - k) % nn, 1)
-        return GroupElement((i - k + spec.n) % nn, 0)
-    if f == QD:
-        mod = 2 ** (spec.n - 1)
-        if j == 0:
-            return GroupElement((i + k) % mod, l)
-        r = 2 ** (spec.n - 2) - 1
-        return GroupElement((i + r * k) % mod, (1 + l) % 2)
-    if f == U6N:
-        nn = 2 * spec.n
-        jj = j if k % 2 == 0 else -j
-        return GroupElement((i + k) % nn, (jj + l) % 3)
-    kk = k if j % 2 == 0 else -k
-    return GroupElement((i + kk) % spec.m, (j + l) % (2 * spec.n))
+    return spec.record.rewrite(spec.n, spec.m)(x, y)
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A fully enumerated group: spec plus all normal forms in canonical order."""
+    """A fully enumerated group: spec, normal forms in canonical order, and the
+    family's rewrite rule bound once to this group's parameters."""
 
     spec: GroupSpec
     elements: tuple[GroupElement, ...]
+    mult: Rule = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -149,34 +34,12 @@ class FiniteGroup:
     def identity(self) -> GroupElement:
         return GroupElement(0, 0)
 
-    def mult(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return multiply(self.spec, x, y)
-
-    def inverse(self, x: GroupElement) -> GroupElement:
-        # linear search; the groups are small and no inverse formula is stored
-        e = self.identity
-        for y in self.elements:
-            if self.mult(x, y) == e:
-                return y
-        raise ValueError(f"no inverse found for {x}, not a group?")
-
-    def element_order(self, x: GroupElement) -> int:
-        e = self.identity
-        acc = x
-        k = 1
-        while acc != e:
-            acc = self.mult(acc, x)
-            k += 1
-            if k > self.order:
-                raise ValueError(f"order of {x} exceeds group order, not a group?")
-        return k
-
 
 def enumerate_elements(spec: GroupSpec) -> FiniteGroup:
     """All normal forms, lexicographic by (b_exp, a_exp)."""
     oa, ob = spec.generator_orders()
     elems = tuple(GroupElement(a, b) for b in range(ob) for a in range(oa))
-    return FiniteGroup(spec, elems)
+    return FiniteGroup(spec, elems, spec.record.rewrite(spec.n, spec.m))
 
 
 def center(group: FiniteGroup) -> set[GroupElement]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .closedform import (
     QuadraticEig,
@@ -19,36 +18,20 @@ from .closedform import (
     spectrum_to_polynomial,
 )
 from .exactalg import (
-    IntMatrix,
     IntPolynomial,
     char_poly,
     is_perfect_square,
     rational_roots_of_quadratic,
 )
+from .families import ALL_KINDS, GroupSpec, MatrixKind
 from .graphs import (
-    ALL_KINDS,
-    MatrixKind,
     NotCompleteMultipartite,
+    OrderCapExceeded,
     PartitionStructure,
-    distance_matrix,
-    matrix_of_kind,
-    non_commuting_graph,
-    part_major,
-)
-from .groups import (
-    METACYCLIC,
-    Q4N,
-    QD,
-    U6N,
-    GroupSpec,
-    enumerate_elements,
+    oracle,
 )
 
 DEFAULT_ORDER_CAP = 150
-
-
-class OrderCapExceeded(ValueError):
-    """Graph order exceeds the configured verification cap."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +50,6 @@ class VerificationReport:
     unmatched_closed: tuple[tuple[object, int], ...] = ()
     error: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.matched and self.error is None
-
 
 @dataclass(frozen=True)
 class IntegralityRecord:
@@ -86,13 +65,6 @@ class IntegralityRecord:
     @property
     def agree(self) -> bool:
         return self.predicted_integral == self.computed_integral
-
-
-def oracle_matrix(spec: GroupSpec, kind: MatrixKind) -> tuple[IntMatrix, PartitionStructure]:
-    """Group -> graph -> certified part-major ordering -> matrix of the kind."""
-    group = enumerate_elements(spec)
-    graph, partition = part_major(non_commuting_graph(group))
-    return matrix_of_kind(distance_matrix(graph), kind), partition
 
 
 def _factor_out(
@@ -136,30 +108,25 @@ def verify_instance(
     spec: GroupSpec, kind: MatrixKind, order_cap: int = DEFAULT_ORDER_CAP
 ) -> VerificationReport:
     """Compare the closed-form spectrum polynomial with the oracle, exactly."""
-    group = enumerate_elements(spec)
-    graph = non_commuting_graph(group)
-    if graph.order > order_cap:
-        raise OrderCapExceeded(
-            f"{spec.label()} graph order {graph.order} exceeds cap {order_cap}"
-        )
-    graph, partition = part_major(graph)
-    matrix = matrix_of_kind(distance_matrix(graph), kind)
-    oracle = char_poly(matrix)
-    closed = spectrum_to_polynomial(spectrum_for(spec, kind))
-    if oracle == closed:
+    staged = oracle(spec, kind, order_cap)
+    order = staged.graph.order
+    oracle_poly = char_poly(staged.matrix)
+    spectrum = spectrum_for(spec, kind)
+    closed = spectrum_to_polynomial(spectrum)
+    if oracle_poly == closed:
         return VerificationReport(
-            spec, kind, graph.order, True, oracle, closed, partition
+            spec, kind, order, True, oracle_poly, closed, staged.partition
         )
-    residual, leftover = _factor_out(oracle, spectrum_for(spec, kind))
+    residual, leftover = _factor_out(oracle_poly, spectrum)
     return VerificationReport(
         spec,
         kind,
-        graph.order,
+        order,
         False,
-        oracle,
+        oracle_poly,
         closed,
-        partition,
-        diff_summary=_first_diff(oracle, closed),
+        staged.partition,
+        diff_summary=_first_diff(oracle_poly, closed),
         residual=residual,
         unmatched_closed=leftover,
     )
@@ -210,65 +177,34 @@ def default_grid() -> list[GroupSpec]:
     return specs
 
 
-def _both_integral(roots: tuple[Fraction, Fraction] | None) -> bool:
-    return roots is not None and all(r.denominator == 1 for r in roots)
-
-
-def _t_quadratic(spec: GroupSpec) -> tuple[int, int, int] | None:
-    """The quadratic satisfied by the scale t in the signless-Laplacian pair."""
-    if spec.family == Q4N:
-        n = spec.n
-        return (2 * n - 2, 10 - 4 * n, -2 * n)
-    if spec.family == QD:
-        half = 2 ** (spec.n - 1)
-        return (half - 2, -(2 * half - 10), -half)
-    if spec.family == METACYCLIC:
-        m = spec.m
-        if m % 2:
-            return (m - 1, -(2 * m - 5), -m)
-        if m > 4:
-            return (m - 2, -2 * (m - 5), -m)
-    return None
-
-
 def predicted_integral(spec: GroupSpec, kind: MatrixKind) -> tuple[bool, int | None, str]:
     """The stated arithmetic integrality condition, evaluated exactly.
 
-    Distance: the square-free core of the surd pair must be a perfect square.
+    Distance: the family's square-free core must be a perfect square.
     Distance Laplacian: always integral.  Signless Laplacian: both roots t of
-    the family's quadratic must be integers (U_6n and M_8n are stated as
-    always integral).  Returns (predicted, witness, note); the witness is the
-    integer square root when one certifies the prediction, and for a rational
-    non-integral t the note records its denominator as evidence.
+    the family's quadratic must be integers (U_6n and M_8n have no quadratic
+    and are stated as always integral).  Returns (predicted, witness, note);
+    the witness is the integer square root when one certifies the prediction,
+    and for a rational non-integral t the note records its denominator as
+    evidence.
     """
     if kind == MatrixKind.DISTANCE_LAPLACIAN:
         return True, None, "integral for all parameters"
+    record = spec.record
     if kind == MatrixKind.DISTANCE:
-        if spec.family == Q4N:
-            core = 5 * spec.n * spec.n - 10 * spec.n + 9
-        elif spec.family == QD:
-            q = 2 ** (spec.n - 2)
-            core = 5 * q * q - 10 * q + 9
-        elif spec.family == U6N:
-            core = 6 * spec.n * spec.n
-        elif spec.m % 2:
-            core = 5 * spec.m * spec.m - 10 * spec.m + 9
-        else:
-            core = 5 * spec.m * spec.m - 20 * spec.m + 36
+        core = record.distance_core(spec.n, spec.m)
         root = is_perfect_square(core)
         return root is not None, root, f"square core {core}"
-    if spec.family == U6N:
+    tquad = record.t_quadratic(spec.n, spec.m)
+    if tquad is None:
         return True, None, "integral for all parameters"
-    if spec.family == METACYCLIC and spec.m == 4:
-        return True, None, "integral for all parameters"
-    tquad = _t_quadratic(spec)
     roots = rational_roots_of_quadratic(*tquad)
-    if _both_integral(roots):
-        return True, is_perfect_square(tquad[1] ** 2 - 4 * tquad[0] * tquad[2]), "integral t"
-    if roots is not None:
-        dens = sorted({r.denominator for r in roots if r.denominator != 1})
+    if roots is None:
+        return False, None, "irrational t"
+    dens = sorted({r.denominator for r in roots if r.denominator != 1})
+    if dens:
         return False, None, f"rational t with denominator {dens[0]}"
-    return False, None, "irrational t"
+    return True, is_perfect_square(tquad[1] ** 2 - 4 * tquad[0] * tquad[2]), "integral t"
 
 
 def integrality_record(spec: GroupSpec, kind: MatrixKind) -> IntegralityRecord:

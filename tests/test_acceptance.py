@@ -24,13 +24,14 @@ from ncgspectra import (
     matrix_of_kind,
     multipartite_distance_charpoly,
     non_commuting_graph,
+    oracle,
     part_major,
     search_integral,
     spectrum_for,
     verify_instance,
 )
 from ncgspectra.exactalg import IntMatrix
-from ncgspectra.verify import _factor_out, oracle_matrix
+from ncgspectra.verify import _factor_out
 
 D = MatrixKind.DISTANCE
 DL = MatrixKind.DISTANCE_LAPLACIAN
@@ -195,7 +196,7 @@ def test_criterion_6_charpoly_cross_check(grid_results):
         for report in grid_results.reports:
             if report.kind != D or report.order > 60:
                 continue
-            matrix, _ = oracle_matrix(report.group, D)
+            matrix = oracle(report.group, D).matrix
             assert char_poly_interpolation(matrix) == report.oracle_poly
             checked += 1
         assert checked >= 40

@@ -252,3 +252,51 @@ def test_order_cap_respected_for_oracle(capsys):
     )
     assert code == 2
     assert "exceeds" in err
+
+
+def test_search_integral_rejects_invalid_m(capsys):
+    code, out, err = run(
+        capsys, "search-integral", "--group", "metacyclic", "--m", "2",
+        "--matrix", "d", "--max-n", "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "m >= 3" in err
+
+
+def test_search_integral_rejects_m_even_for_an_empty_scan(capsys):
+    code, out, _ = run(
+        capsys, "search-integral", "--group", "qd", "--m", "3", "--matrix", "d",
+        "--max-n", "3",
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_spectrum_oracle_unfactored_text_lists_charpoly(capsys):
+    code, out, _ = run(
+        capsys, "spectrum", "--group", "qd", "--n", "4", "--matrix", "dq",
+        "--method", "oracle", "--format", "text",
+    )
+    assert code == 0
+    head, integral, charpoly = out.splitlines()
+    assert head == "family=qd n=4 matrix=dq order=14"
+    assert integral == "integral: false"
+    coeffs = charpoly.removeprefix("charpoly (ascending): ").split()
+    assert len(coeffs) == 15 and coeffs[-1] == "1"
+
+
+def test_spectrum_oracle_refuses_over_cap_before_building_a_matrix(capsys, monkeypatch):
+    import ncgspectra.graphs as graphs
+
+    def fail(*args):
+        raise AssertionError("matrix work done past the order cap")
+
+    monkeypatch.setattr(graphs, "part_major", fail)
+    monkeypatch.setattr(graphs, "distance_matrix", fail)
+    code, _, err = run(
+        capsys, "spectrum", "--group", "qd", "--n", "7", "--matrix", "d",
+        "--method", "oracle", "--order-cap", "50",
+    )
+    assert code == 2
+    assert "exceeds" in err

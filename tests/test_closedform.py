@@ -15,20 +15,15 @@ from ncgspectra import (
     distance_matrix,
     eigenbasis_q4n,
     enumerate_elements,
-    is_integral,
     make_spectrum,
     matrix_of_kind,
     multipartite_distance_charpoly,
     non_commuting_graph,
+    oracle,
     part_major,
     spectrum_for,
-    spectrum_metacyclic,
-    spectrum_q4n,
-    spectrum_qd,
     spectrum_to_polynomial,
-    spectrum_u6n,
 )
-from ncgspectra.verify import oracle_matrix
 
 D = MatrixKind.DISTANCE
 DL = MatrixKind.DISTANCE_LAPLACIAN
@@ -116,45 +111,47 @@ class TestMultipartiteCharpoly:
 
 class TestQ4nSpectra:
     def test_distance_n2(self):
-        assert spectrum_q4n(D, 2).entries == ((-2, 3), (0, 2), (6, 1))
+        assert spectrum_for(GroupSpec.q4n(2), D).entries == ((-2, 3), (0, 2), (6, 1))
 
     def test_distance_general(self):
-        s = spectrum_q4n(D, 5)
+        s = spectrum_for(GroupSpec.q4n(5), D)
         assert s.entries == ((-2, 12), (0, 4), (QuadraticEig(24, 60), 1))
         assert not s.is_integral
         assert s.eigenvalue_sum == 0
 
     def test_dl_n2(self):
-        assert spectrum_q4n(DL, 2).entries == ((0, 1), (6, 2), (8, 3))
+        assert spectrum_for(GroupSpec.q4n(2), DL).entries == ((0, 1), (6, 2), (8, 3))
 
     def test_dq_n2(self):
-        assert spectrum_q4n(DQ, 2).entries == ((4, 3), (6, 2), (12, 1))
+        assert spectrum_for(GroupSpec.q4n(2), DQ).entries == ((4, 3), (6, 2), (12, 1))
 
     def test_dq_n3_is_integral_with_rational_t(self):
-        s = spectrum_q4n(DQ, 3)
+        s = spectrum_for(GroupSpec.q4n(3), DQ)
         assert s.entries == ((8, 3), (10, 5), (12, 1), (22, 1))
         assert s.is_integral
 
     def test_invalid(self):
         with pytest.raises(InvalidParameters):
-            spectrum_q4n(D, 1)
+            spectrum_for(GroupSpec.q4n(1), D)
 
 
 class TestQdSpectra:
     def test_distance_n4_normalizes_to_integers(self):
-        s = spectrum_qd(D, 4)
+        s = spectrum_for(GroupSpec.qd(4), D)
         assert s.entries == ((-2, 9), (0, 3), (2, 1), (16, 1))
         assert s.is_integral
 
     def test_distance_n5(self):
-        s = spectrum_qd(D, 5)
+        s = spectrum_for(GroupSpec.qd(5), D)
         assert s.entries == ((-2, 21), (0, 7), (QuadraticEig(42, 192), 1))
 
     def test_dl_n4(self):
-        assert spectrum_qd(DL, 4).entries == ((0, 1), (14, 4), (16, 4), (20, 5))
+        assert spectrum_for(GroupSpec.qd(4), DL).entries == (
+            (0, 1), (14, 4), (16, 4), (20, 5)
+        )
 
     def test_dq_n4(self):
-        assert spectrum_qd(DQ, 4).entries == (
+        assert spectrum_for(GroupSpec.qd(4), DQ).entries == (
             (12, 4),
             (14, 3),
             (16, 5),
@@ -163,29 +160,29 @@ class TestQdSpectra:
 
     def test_invalid(self):
         with pytest.raises(InvalidParameters):
-            spectrum_qd(D, 3)
+            spectrum_for(GroupSpec.qd(3), D)
 
 
 class TestU6nSpectra:
     def test_distance_n1(self):
-        s = spectrum_u6n(D, 1)
+        s = spectrum_for(GroupSpec.u6n(1), D)
         assert s.entries == ((-2, 1), (-1, 2), (QuadraticEig(4, -2), 1))
         assert not s.is_integral
 
     def test_dl_n1_drops_vanishing_multiplicity(self):
-        assert spectrum_u6n(DL, 1).entries == ((0, 1), (5, 3), (7, 1))
+        assert spectrum_for(GroupSpec.u6n(1), DL).entries == ((0, 1), (5, 3), (7, 1))
 
     def test_dq_n1(self):
-        assert spectrum_u6n(DQ, 1).entries == ((3, 3), (4, 1), (9, 1))
+        assert spectrum_for(GroupSpec.u6n(1), DQ).entries == ((3, 3), (4, 1), (9, 1))
 
     def test_dq_always_integral(self):
         for n in range(1, 30):
-            assert spectrum_u6n(DQ, n).is_integral
+            assert spectrum_for(GroupSpec.u6n(n), DQ).is_integral
 
     def test_counts_and_sums(self):
         for n in (1, 2, 7):
             for kind in (D, DL, DQ):
-                s = spectrum_u6n(kind, n)
+                s = spectrum_for(GroupSpec.u6n(n), kind)
                 assert s.eigenvalue_count == 5 * n
                 if kind == D:
                     assert s.eigenvalue_sum == 0
@@ -193,28 +190,31 @@ class TestU6nSpectra:
 
 class TestMetacyclicSpectra:
     def test_distance_m3_matches_u6(self):
-        assert spectrum_metacyclic(D, 3, 1).entries == spectrum_u6n(D, 1).entries
+        m6 = spectrum_for(GroupSpec.metacyclic(3, 1), D)
+        assert m6.entries == spectrum_for(GroupSpec.u6n(1), D).entries
 
     def test_dq_m4_matches_octahedron(self):
-        assert spectrum_metacyclic(DQ, 4, 1).entries == spectrum_q4n(DQ, 2).entries
+        m8 = spectrum_for(GroupSpec.metacyclic(4, 1), DQ)
+        assert m8.entries == spectrum_for(GroupSpec.q4n(2), DQ).entries
 
     def test_dl_m4_n2_merges_overlap(self):
-        assert spectrum_metacyclic(DL, 4, 2).entries == ((0, 1), (12, 2), (16, 9))
+        m16 = spectrum_for(GroupSpec.metacyclic(4, 2), DL)
+        assert m16.entries == ((0, 1), (12, 2), (16, 9))
 
     def test_odd_branch(self):
         # M_20 with m=5, n=2 has the same graph K_{8, 2 x 5} as Q_20
-        s = spectrum_metacyclic(D, 5, 2)
-        assert s.entries == spectrum_q4n(D, 5).entries
+        s = spectrum_for(GroupSpec.metacyclic(5, 2), D)
+        assert s.entries == spectrum_for(GroupSpec.q4n(5), D).entries
         assert s.eigenvalue_count == 18
         assert s.eigenvalue_sum == 0
-        s = spectrum_metacyclic(DQ, 5, 1)
+        s = spectrum_for(GroupSpec.metacyclic(5, 1), DQ)
         assert s.entries == ((7, 4), (9, 3), (QuadraticEig(29, 184), 1))
 
     def test_invalid(self):
         with pytest.raises(InvalidParameters):
-            spectrum_metacyclic(D, 2, 1)
+            spectrum_for(GroupSpec.metacyclic(2, 1), D)
         with pytest.raises(InvalidParameters):
-            spectrum_metacyclic(D, 3, 0)
+            spectrum_for(GroupSpec.metacyclic(3, 0), D)
 
 
 class TestSpectrumPolynomial:
@@ -228,7 +228,7 @@ class TestSpectrumPolynomial:
         assert spectrum_to_polynomial(s) == IntPolynomial((-2, -4, 1))
 
     def test_octahedron_product(self):
-        s = spectrum_q4n(D, 2)
+        s = spectrum_for(GroupSpec.q4n(2), D)
         want = (
             IntPolynomial((-6, 1))
             * IntPolynomial((0, 1)) ** 2
@@ -244,9 +244,9 @@ class TestSpectrumPolynomial:
 
 class TestIsIntegral:
     def test_examples(self):
-        assert is_integral(spectrum_q4n(D, 2))
-        assert not is_integral(spectrum_u6n(D, 3))
-        assert is_integral(spectrum_q4n(DL, 7))
+        assert spectrum_for(GroupSpec.q4n(2), D).is_integral
+        assert not spectrum_for(GroupSpec.u6n(3), D).is_integral
+        assert spectrum_for(GroupSpec.q4n(7), DL).is_integral
 
 
 class TestClosedVsOracleSmall:
@@ -258,7 +258,7 @@ class TestClosedVsOracleSmall:
     )
     @pytest.mark.parametrize("kind", [D, DL, DQ], ids=str)
     def test_trace_and_sum_match(self, spec, kind):
-        matrix, _ = oracle_matrix(spec, kind)
+        matrix = oracle(spec, kind).matrix
         s = spectrum_for(spec, kind)
         assert s.eigenvalue_count == matrix.n
         assert s.eigenvalue_sum == matrix.trace()

@@ -14,13 +14,10 @@ from ncgspectra import (
     char_poly,
     char_poly_interpolation,
     is_perfect_square,
-    poly_eq,
-    poly_mul,
-    poly_pow,
+    oracle,
     rational_roots_of_quadratic,
 )
 from ncgspectra.graphs import MatrixKind
-from ncgspectra.verify import oracle_matrix
 
 X = IntPolynomial((0, 1))
 
@@ -42,11 +39,8 @@ def test_char_poly_trivial():
 
 
 def test_char_poly_octahedron_factors():
-    matrix, _ = oracle_matrix(GroupSpec.q4n(2), MatrixKind.DISTANCE)
-    product = poly_mul(
-        poly_mul(poly_pow(IntPolynomial((2, 1)), 3), poly_pow(X, 2)),
-        IntPolynomial((-6, 1)),
-    )
+    matrix = oracle(GroupSpec.q4n(2), MatrixKind.DISTANCE).matrix
+    product = IntPolynomial((2, 1)) ** 3 * X**2 * IntPolynomial((-6, 1))
     assert char_poly(matrix) == product
 
 
@@ -103,16 +97,16 @@ def test_bareiss_known_values():
 
 
 def test_poly_basiscs():
-    assert poly_mul(IntPolynomial((2, 1)), IntPolynomial((-2, 1))) == IntPolynomial((-4, 0, 1))
-    assert poly_pow(IntPolynomial((1, 1)), 0) == IntPolynomial((1,))
-    assert poly_pow(IntPolynomial((2, 1)), 3) == IntPolynomial((8, 12, 6, 1))
-    assert poly_eq(IntPolynomial((0, 0)), IntPolynomial(()))
+    assert IntPolynomial((2, 1)) * IntPolynomial((-2, 1)) == IntPolynomial((-4, 0, 1))
+    assert IntPolynomial((1, 1)) ** 0 == IntPolynomial((1,))
+    assert IntPolynomial((2, 1)) ** 3 == IntPolynomial((8, 12, 6, 1))
+    assert IntPolynomial((0, 0)) == IntPolynomial(())
     assert (X - X).is_zero
     assert str(IntPolynomial((-4, 0, 1))) == "x^2 - 4"
     assert str(IntPolynomial((568, -50, 1))) == "x^2 - 50*x + 568"
     assert IntPolynomial((1, 2)).degree == 1
     with pytest.raises(ValueError):
-        poly_pow(X, -1)
+        X**-1
 
 
 def test_divmod_monic():

@@ -6,8 +6,10 @@ from ncgspectra import (
     GroupElement,
     GroupSpec,
     IntMatrix,
+    MatrixKind,
     NCGraph,
     NotCompleteMultipartite,
+    OrderCapExceeded,
     claimed_partition_sizes,
     complete_multipartite,
     distance_matrix,
@@ -15,6 +17,7 @@ from ncgspectra import (
     dq_matrix,
     enumerate_elements,
     non_commuting_graph,
+    oracle,
     part_major,
     partition_structure,
     transmissions,
@@ -178,3 +181,14 @@ def test_dl_rows_sum_to_zero_across_families():
     for spec in [GroupSpec.qd(4), GroupSpec.u6n(3), GroupSpec.metacyclic(7, 1)]:
         d = distance_matrix(part_major(graph_of(spec))[0])
         assert all(sum(row) == 0 for row in dl_matrix(d).rows)
+
+
+def test_oracle_checks_order_cap_on_the_graph():
+    spec = GroupSpec.q4n(3)  # graph order 10
+    with pytest.raises(OrderCapExceeded, match="Q_12 graph order 10 exceeds cap 9"):
+        oracle(spec, MatrixKind.DISTANCE, order_cap=9)
+    staged = oracle(spec, MatrixKind.DISTANCE, order_cap=10)
+    assert staged.graph.order == staged.matrix.n == 10
+    assert staged.partition.sizes == claimed_partition_sizes(spec)
+    assert staged.matrix == distance_matrix(staged.graph)
+    assert oracle(spec, MatrixKind.DISTANCE) == staged

@@ -13,7 +13,6 @@ from ncgspectra import (
     predicted_integral,
     search_integral,
     spectrum_for,
-    spectrum_qd,
     spectrum_to_polynomial,
     verify_grid,
     verify_instance,
@@ -67,7 +66,7 @@ class TestVerifyInstance:
         for n in (4, 5):
             report = verify_instance(GroupSpec.qd(n), DQ)
             half = 2 ** (n - 1)
-            stated = spectrum_qd(DQ, n)
+            stated = spectrum_for(GroupSpec.qd(n), DQ)
             fixed_entries = [
                 (d, m) for d, m in stated.entries if not isinstance(d, QuadraticEig)
             ]
@@ -89,6 +88,19 @@ class TestVerifyInstance:
         assert not report.matched
         assert report.residual == IntPolynomial((-800, 260, -28, 1))
         assert report.unmatched_closed == ((16, 3),)
+
+    def test_mismatch_evaluates_closed_form_once(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        calls = []
+
+        def counting(spec, kind):
+            calls.append((spec, kind))
+            return spectrum_for(spec, kind)
+
+        monkeypatch.setattr(verify, "spectrum_for", counting)
+        assert not verify_instance(GroupSpec.qd(4), DQ).matched
+        assert calls == [(GroupSpec.qd(4), DQ)]
 
     def test_metacyclic_odd_dq_matches(self):
         for m, n in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (9, 2)]:
@@ -147,8 +159,7 @@ class TestVerifyGrid:
 
 
 def test_grid_traces_match_polynomial_coefficients(grid_results):
-    from ncgspectra import transmissions
-    from ncgspectra.verify import oracle_matrix
+    from ncgspectra import oracle, transmissions
 
     by_spec = {}
     for report in grid_results.reports:
@@ -158,7 +169,7 @@ def test_grid_traces_match_polynomial_coefficients(grid_results):
             assert subleading == 0
         else:
             if report.group not in by_spec:
-                dist, _ = oracle_matrix(report.group, D)
+                dist = oracle(report.group, D).matrix
                 by_spec[report.group] = sum(transmissions(dist))
             assert subleading == -by_spec[report.group]
 

@@ -31,11 +31,10 @@ from .families import (
     InvalidParameters,
     MatrixKind,
 )
-from .graphs import NotCompleteMultipartite, oracle
+from .graphs import NotCompleteMultipartite, OrderCapExceeded, oracle
 from .verify import (
     DEFAULT_ORDER_CAP,
     IntegralityRecord,
-    OrderCapExceeded,
     VerificationReport,
     _factor_out,
     search_integral,

@@ -3,8 +3,9 @@
 Everything here is exact: Python integers throughout, no floating point
 anywhere.  The characteristic polynomial has two independent implementations,
 
-* `char_poly` -- Faddeev-LeVerrier, whose division by k at step k is provably
-  exact over the integers, and
+* `char_poly` -- reduction to upper Hessenberg form and the O(n^3) Hessenberg
+  recurrence, both modulo a Mersenne prime chosen above an a-priori bound on
+  the coefficients, so that the symmetric residues are the exact integers, and
 * `char_poly_interpolation` -- fraction-free Bareiss determinants of xI - M at
   n+1 integer points combined by Lagrange interpolation with a single exact
   division by n! at the end.
@@ -189,36 +190,100 @@ class IntPolynomial:
 POLY_ONE = IntPolynomial((1,))
 
 
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = tuple(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+# Exponents e of the Mersenne primes 2^e - 1 from 2^61 - 1 to 2^44497 - 1,
+# ascending.  All are proven primes, so no primality test is needed.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+    4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497,
+)
+
+
+def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """An upper Hessenberg matrix similar to `rows` modulo the prime p.
+
+    Gaussian elimination below the subdiagonal, one column at a time: a
+    nonzero pivot is swapped into the subdiagonal by a row and column
+    transposition, and each row operation is matched by the inverse column
+    operation.  A column with no nonzero entry below its diagonal is already
+    reduced and is skipped.
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for j in range(n - 2):
+        sub = j + 1
+        pivot = next((i for i in range(sub, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != sub:
+            h[pivot], h[sub] = h[sub], h[pivot]
+            for row in h:
+                row[pivot], row[sub] = row[sub], row[pivot]
+        pivot_row = h[sub]
+        inv = pow(pivot_row[j], -1, p)
+        factors = []
+        for r in range(sub + 1, n):
+            row = h[r]
+            u = row[j] * inv % p
+            if u:
+                factors.append((r, u))
+                row[j] = 0
+                for k in range(sub, n):
+                    row[k] = (row[k] - u * pivot_row[k]) % p
+        if factors:
+            for row in h:
+                row[sub] = (row[sub] + sum(u * row[r] for r, u in factors)) % p
+    return h
 
 
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
-    """det(xI - M), monic of degree n, by the Faddeev-LeVerrier recurrence.
+    """det(xI - M), monic of degree n, exact, in O(n^3) operations modulo a prime.
 
-    The trace divided at step k is always a multiple of k for integer input;
-    this is asserted rather than trusted.
+    Every eigenvalue has modulus at most rho, the largest absolute row sum, so
+    the coefficient of x^k is bounded by B = max_k C(n, k) * rho^(n - k).  The
+    work is done modulo the smallest tabulated Mersenne prime p > 2B, where the
+    symmetric residues in (-p/2, p/2] are the integer coefficients themselves.
+    M is reduced to upper Hessenberg form H by a similarity mod p, and
+    det(xI - H) follows from the recurrence over its leading principal
+    submatrices (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).  Raises ArithmeticError, rather than return an unproven
+    result, when 2B exceeds the largest tabulated prime.
     """
     n = matrix.n
     if n == 0:
         return POLY_ONE
-    base = [list(r) for r in matrix.rows]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    work = [row[:] for row in base]
-    for k in range(1, n + 1):
-        if k > 1:
-            shift = coeffs[n - k + 1]
-            for i in range(n):
-                work[i][i] += shift
-            work = _mat_mul(base, work)
-        t = sum(work[i][i] for i in range(n))
-        q, r = divmod(-t, k)
-        if r:
-            raise ArithmeticError(f"inexact division by {k} in Faddeev-LeVerrier")
-        coeffs[n - k] = q
-    return IntPolynomial(coeffs)
+    rho = max(sum(map(abs, row)) for row in matrix.rows)
+    bound = max(math.comb(n, k) * rho ** (n - k) for k in range(n + 1))
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > 2 * bound:
+            break
+    else:
+        raise ArithmeticError(
+            f"coefficient bound of {bound.bit_length()} bits exceeds the largest "
+            f"tabulated Mersenne prime 2^{e} - 1"
+        )
+    h = _hessenberg_mod(matrix.rows, p)
+    # polys[m] = det(xI - H_m) for the leading m x m block H_m, ascending
+    # coefficients mod p; H_{m+1} adds column m, whose entry h[i][m] enters
+    # with the subdiagonal product h[i+1][i] ... h[m][m-1].
+    polys = [[1]]
+    for m in range(n):
+        nxt = [0] + polys[m]
+        diag = h[m][m]
+        for k, c in enumerate(polys[m]):
+            nxt[k] -= diag * c
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            c = h[i][m] * chain % p
+            if c:
+                for k, v in enumerate(polys[i]):
+                    nxt[k] -= c * v
+        polys.append([v % p for v in nxt])
+    half = p // 2
+    return IntPolynomial(v - p if v > half else v for v in polys[n])
 
 
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:

@@ -8,7 +8,7 @@ family-agnostic.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import IntMatrix
@@ -157,11 +157,17 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     """Certify and reorder so parts occupy consecutive index blocks.
 
     Largest part first; within a part the original vertex order is kept, so
-    the result is deterministic for a fixed input graph.
+    the result is deterministic for a fixed input graph.  The reordered
+    graph's partition has the same parts with each class a consecutive block,
+    which is what certifying it again would return.
     """
     partition = partition_structure(graph)
     reordered = graph.permuted(partition.vertex_order())
-    return reordered, partition_structure(reordered)
+    blocks, start = [], 0
+    for size in partition.sizes:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return reordered, replace(partition, classes=tuple(blocks))
 
 
 def distance_matrix(graph: NCGraph) -> IntMatrix:

@@ -24,12 +24,7 @@ from .exactalg import (
     rational_roots_of_quadratic,
 )
 from .families import ALL_KINDS, GroupSpec, MatrixKind
-from .graphs import (
-    NotCompleteMultipartite,
-    OrderCapExceeded,
-    PartitionStructure,
-    oracle,
-)
+from .graphs import PartitionStructure, oracle
 
 DEFAULT_ORDER_CAP = 150
 
@@ -136,7 +131,7 @@ def _verify_job(args: tuple[GroupSpec, MatrixKind, int]) -> VerificationReport:
     spec, kind, cap = args
     try:
         return verify_instance(spec, kind, cap)
-    except (OrderCapExceeded, NotCompleteMultipartite, ValueError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return VerificationReport(
             spec,
             kind,
@@ -157,6 +152,11 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """Run verify_instance over the whole grid, never aborting on one failure.
 
+    An instance that raises ValueError (which covers OrderCapExceeded,
+    NotCompleteMultipartite and invalid parameters) or ArithmeticError (an
+    inexact division, or a char-poly coefficient bound beyond the prime
+    table) becomes an error report with `error` set to the exception's type
+    and message; any other exception is a programming error and propagates.
     Instances are independent pure computations; with jobs > 1 they run in a
     process pool.  Output order is always by (spec, kind) position, not by
     completion time.

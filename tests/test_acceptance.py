@@ -184,7 +184,7 @@ def test_criterion_5_eigenvector_suites():
 
 
 def test_criterion_6_charpoly_cross_check(grid_results):
-    with criterion(6, "Faddeev-LeVerrier == Bareiss interpolation, random + grid"):
+    with criterion(6, "Hessenberg char poly == Bareiss interpolation, random + grid"):
         rng = random.Random(61803398)
         for _ in range(50):
             n = rng.randint(1, 40)

@@ -109,6 +109,28 @@ class TestMultipartiteCharpoly:
             multipartite_distance_charpoly([0, 2])
 
 
+def _small_metacyclic(m):
+    # graph order is linear in n: n(2m - 1) for odd m, 2n(m - 1) for even m
+    unit = sum(claimed_partition_sizes(GroupSpec.metacyclic(m, 1)))
+    return st.integers(1, 60 // unit).map(lambda n: GroupSpec.metacyclic(m, n))
+
+
+# one family, then parameters with graph order <= 60
+SMALL_SPECS = st.one_of(
+    st.integers(2, 15).map(GroupSpec.q4n),
+    st.integers(4, 5).map(GroupSpec.qd),
+    st.integers(1, 12).map(GroupSpec.u6n),
+    st.integers(3, 30).flatmap(_small_metacyclic),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SMALL_SPECS)
+def test_oracle_distance_charpoly_equals_quotient_formula(spec):
+    staged = oracle(spec, D, order_cap=60)
+    assert char_poly(staged.matrix) == multipartite_distance_charpoly(staged.partition)
+
+
 class TestQ4nSpectra:
     def test_distance_n2(self):
         assert spectrum_for(GroupSpec.q4n(2), D).entries == ((-2, 3), (0, 2), (6, 1))

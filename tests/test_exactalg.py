@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,47 @@ def test_matrix_must_be_square():
         IntMatrix(((1, 2),))
 
 
+def faddeev_leverrier(matrix):
+    """Reference det(xI - M) by the O(n^4) Faddeev-LeVerrier recurrence.
+
+    At step k the trace of M * (M_{k-1} + c_{n-k+1} I) is -k * c_{n-k}; the
+    division by k is exact for integer input.
+    """
+    n = matrix.n
+    base = [list(r) for r in matrix.rows]
+    coeffs = [0] * n + [1]
+    work = [row[:] for row in base]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                work[i][i] += coeffs[n - k + 1]
+            cols = list(zip(*work))
+            work = [[sum(map(mul, row, col)) for col in cols] for row in base]
+        q, r = divmod(-sum(work[i][i] for i in range(n)), k)
+        assert r == 0, f"inexact division by {k}"
+        coeffs[n - k] = q
+    return IntPolynomial(coeffs)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices: dense random ones, or products L R of rank <= r."""
+    n = draw(st.integers(0, 10))
+    small = st.integers(-6, 6)
+
+    def block(rows, cols):
+        row = st.lists(small, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        return IntMatrix.from_rows(block(n, n))
+    rank = draw(st.integers(0, n))
+    left, right = block(n, rank), block(rank, n)
+    return IntMatrix.from_rows(
+        [[sum(row[t] * right[t][j] for t in range(rank)) for j in range(n)] for row in left]
+    )
+
+
 def test_char_poly_trivial():
     assert char_poly(IntMatrix.identity(2)) == IntPolynomial((1, -2, 1))
     assert char_poly(IntMatrix.from_rows([[0] * 3] * 3)) == IntPolynomial((0, 0, 0, 1))
@@ -50,6 +92,73 @@ def test_char_poly_methods_agree_on_random_matrices():
         n = rng.randint(1, 12)
         m = rand_matrix(rng, n)
         assert char_poly(m) == char_poly_interpolation(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_char_poly_equals_interpolation_property(matrix):
+    assert char_poly(matrix) == char_poly_interpolation(matrix)
+
+
+DEGENERATE = {
+    "empty": ([], (1,)),
+    "one-by-one": ([[7]], (-7, 1)),
+    "zero": ([[0] * 4] * 4, (0, 0, 0, 0, 1)),
+    "zero-column": ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], (0, -2, -9, 1)),
+    "nilpotent": (
+        [[0, 3, -1, 4], [0, 0, 5, 9], [0, 0, 0, -2], [0, 0, 0, 0]],
+        (0, 0, 0, 0, 1),
+    ),
+    "repeated-rows": ([[1, 2, 3]] * 3, (0, 0, -6, 1)),
+    "no-pivot-column": (
+        [[1, 2, 3, 4], [0, 5, 6, 7], [0, 8, 9, 1], [0, 2, 3, 4]],
+        None,
+    ),
+    "pivot-swap": ([[1, 2, 3], [0, 4, 5], [6, 7, 8]], None),
+    "zero-subdiagonal-later": (
+        [[2, 1, 0, 0, 5], [1, 2, 0, 0, 0], [0, 0, 3, 1, 0], [0, 0, 1, 3, 0],
+         [0, 0, 0, 0, 1]],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_char_poly_degenerate_inputs(name):
+    rows, expected = DEGENERATE[name]
+    matrix = IntMatrix.from_rows(rows)
+    got = char_poly(matrix)
+    if expected is not None:
+        assert got.coeffs == expected
+    assert got == char_poly_interpolation(matrix)
+    assert got == faddeev_leverrier(matrix)
+
+
+def test_char_poly_agrees_with_faddeev_leverrier():
+    rng = random.Random(1729)
+    for n in range(13):
+        dense = rand_matrix(rng, n)
+        wide = rand_matrix(rng, n, -10**6, 10**6)
+        rows = [list(r) for r in rand_matrix(rng, n).rows]
+        for i in range(1, n, 3):
+            rows[i] = rows[i - 1][:]
+        for matrix in (dense, wide, IntMatrix.from_rows(rows)):
+            assert char_poly(matrix) == faddeev_leverrier(matrix)
+
+
+def test_char_poly_prime_table_edge():
+    # |c_0| <= B = rho for a 1 x 1 matrix; 2^44497 - 1 is the largest prime
+    top = 2**44495
+    assert char_poly(IntMatrix.from_rows([[top]])).coeffs == (-top, 1)
+    assert char_poly(IntMatrix.from_rows([[-top]])).coeffs == (top, 1)
+    with pytest.raises(ArithmeticError):
+        char_poly(IntMatrix.from_rows([[2 * top]]))
+
+
+def test_char_poly_refuses_bound_beyond_prime_table():
+    big = 2**50000
+    with pytest.raises(ArithmeticError):
+        char_poly(IntMatrix.from_rows([[big, big + 1], [big - 3, big]]))
 
 
 def test_char_poly_evaluation_matches_bareiss_determinant():

@@ -12,6 +12,7 @@ from ncgspectra import (
     OrderCapExceeded,
     claimed_partition_sizes,
     complete_multipartite,
+    default_grid,
     distance_matrix,
     dl_matrix,
     dq_matrix,
@@ -115,6 +116,14 @@ def test_part_major_blocks_are_contiguous():
         start += len(cls)
     # big part first means the first six vertices are the cyclic-generator powers
     assert all(v.b_exp == 0 for v in reordered.vertices[:6])
+
+
+def test_part_major_partition_equals_recertified_graph():
+    # part_major builds the reordered partition directly; certifying the
+    # reordered graph again must give exactly the same structure
+    for spec in default_grid():
+        reordered, partition = part_major(graph_of(spec))
+        assert partition == partition_structure(reordered)
 
 
 def test_permuted_requires_permutation():

@@ -146,6 +146,34 @@ class TestVerifyGrid:
         assert not reports[1].matched
         assert "OrderCapExceeded" in reports[1].error
 
+    def test_arithmetic_error_becomes_error_report(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        def refusing(matrix):
+            raise ArithmeticError("coefficient bound beyond the prime table")
+
+        monkeypatch.setattr(verify, "char_poly", refusing)
+        specs = [GroupSpec.q4n(2), GroupSpec.u6n(1)]
+        reports = verify_grid(specs, (D, DQ), jobs=1)
+        assert [(r.group, r.kind) for r in reports] == [
+            (spec, kind) for spec in specs for kind in (D, DQ)
+        ]
+        for report in reports:
+            assert not report.matched
+            assert report.error == (
+                "ArithmeticError: coefficient bound beyond the prime table"
+            )
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        def broken(matrix):
+            raise TypeError("not an instance failure")
+
+        monkeypatch.setattr(verify, "char_poly", broken)
+        with pytest.raises(TypeError):
+            verify_grid([GroupSpec.q4n(2)], (D,), jobs=1)
+
     def test_parallel_equals_serial(self):
         specs = [GroupSpec.u6n(n) for n in (1, 2, 3)]
         serial = verify_grid(specs, ALL_KINDS, jobs=1)

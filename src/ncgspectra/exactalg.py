@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -55,7 +54,8 @@ class IntMatrix:
     def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.n:
             raise ValueError("vector length must equal matrix order")
-        return tuple(sum(map(mul, row, v)) for row in self.rows)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum(row[j] * x for j, x in support) for row in self.rows)
 
 
 class IntPolynomial:

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import IntMatrix
 from .families import GroupSpec, MatrixKind
-from .groups import FiniteGroup, center, enumerate_elements
+from .groups import FiniteGroup, bit_indices, center, enumerate_elements
 
 
 class AbelianGroupError(ValueError):
@@ -71,22 +71,17 @@ class PartitionStructure:
 
 
 def non_commuting_graph(group: FiniteGroup) -> NCGraph:
-    """Graph on the non-central elements, adjacent iff they do not commute."""
+    """Graph on the non-central elements, adjacent iff they do not commute.
+
+    The rows are read from the group's cached commutation masks.
+    """
     z = center(group)
-    verts = tuple(e for e in group.elements if e not in z)
-    if not verts:
+    idx = [i for i, e in enumerate(group.elements) if e not in z]
+    if not idx:
         raise AbelianGroupError(f"{group.spec.label()} is abelian, no vertices")
-    mult = group.mult
-    n = len(verts)
-    adj = []
-    for i in range(n):
-        u = verts[i]
-        row = []
-        for j in range(n):
-            v = verts[j]
-            row.append(i != j and mult(u, v) != mult(v, u))
-        adj.append(tuple(row))
-    return NCGraph(verts, tuple(adj))
+    masks = group.commuting_masks
+    adj = tuple(tuple(not masks[i] >> j & 1 for j in idx) for i in idx)
+    return NCGraph(tuple(group.elements[i] for i in idx), adj)
 
 
 def complete_multipartite(sizes: Iterable[int]) -> NCGraph:
@@ -171,24 +166,37 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
 
 
 def distance_matrix(graph: NCGraph) -> IntMatrix:
-    """All-pairs shortest path lengths by BFS from every vertex."""
+    """All-pairs shortest path lengths by BFS from every vertex.
+
+    The search is level-synchronous over neighbour bitmasks: the next level
+    is the union of the frontier's neighbours minus the vertices already seen.
+    """
     n = graph.order
+    everything = (1 << n) - 1
     neighbors = [
-        [j for j in range(n) if graph.adjacency[i][j]] for i in range(n)
+        sum(1 << j for j, adjacent in enumerate(row) if adjacent)
+        for row in graph.adjacency
     ]
     rows = []
     for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if any(d < 0 for d in dist):
-            far = dist.index(-1)
+        dist = [0] * n
+        seen = frontier = 1 << src
+        level = 0
+        while frontier and seen != everything:
+            level += 1
+            unseen = everything & ~seen
+            reach = 0
+            for u in bit_indices(frontier):
+                reach |= neighbors[u] & unseen
+                if reach == unseen:
+                    break
+            frontier = reach
+            seen |= reach
+            for v in bit_indices(reach):
+                dist[v] = level
+        if seen != everything:
+            missing = everything & ~seen
+            far = (missing & -missing).bit_length() - 1
             raise DisconnectedGraph(f"vertex {far} unreachable from vertex {src}")
         rows.append(tuple(dist))
     return IntMatrix(tuple(rows))
@@ -236,15 +244,16 @@ class Oracle(NamedTuple):
 
 
 def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> Oracle:
-    """Group -> graph -> order-cap check -> certified part-major graph -> matrix.
+    """Group -> order-cap check -> graph -> certified part-major graph -> matrix.
 
-    The cap (None for no cap) is checked on the graph order before the graph
-    is certified and before any matrix is built.
+    The cap (None for no cap) is checked on the graph order |G| - |Z(G)|,
+    which the O(|G|) centre gives before the O(|G|^2) graph is built.
     """
-    graph = non_commuting_graph(enumerate_elements(spec))
-    if order_cap is not None and graph.order > order_cap:
+    group = enumerate_elements(spec)
+    order = group.order - len(center(group))
+    if order_cap is not None and order > order_cap:
         raise OrderCapExceeded(
-            f"{spec.label()} graph order {graph.order} exceeds cap {order_cap}"
+            f"{spec.label()} graph order {order} exceeds cap {order_cap}"
         )
-    graph, partition = part_major(graph)
+    graph, partition = part_major(non_commuting_graph(group))
     return Oracle(graph, partition, matrix_of_kind(distance_matrix(graph), kind))

@@ -8,6 +8,7 @@ factored residual to aid diagnosis.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -158,13 +159,15 @@ def verify_grid(
     table) becomes an error report with `error` set to the exception's type
     and message; any other exception is a programming error and propagates.
     Instances are independent pure computations; with jobs > 1 they run in a
-    process pool.  Output order is always by (spec, kind) position, not by
-    completion time.
+    process pool, about four chunks per worker, because one small instance
+    costs less than sending it to a worker on its own.  Output order is always
+    by (spec, kind) position, not by completion time.
     """
     work = [(spec, kind, order_cap) for spec in specs for kind in kinds]
     if jobs > 1 and len(work) > 1:
+        chunksize = math.ceil(len(work) / (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_verify_job, work, chunksize=1))
+            return list(pool.map(_verify_job, work, chunksize=chunksize))
     return [_verify_job(w) for w in work]
 
 

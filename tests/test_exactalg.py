@@ -34,6 +34,32 @@ def test_matrix_must_be_square():
         IntMatrix(((1, 2),))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.lists(
+                st.one_of(st.just(0), st.integers(-50, 50)), min_size=n, max_size=n
+            ),
+        )
+    )
+)
+def test_mat_vec_equals_dense_product(rows_and_vector):
+    rows, v = rows_and_vector
+    matrix = IntMatrix.from_rows(rows)
+    assert matrix.mat_vec(v) == tuple(sum(map(mul, row, v)) for row in matrix.rows)
+
+
+def test_mat_vec_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        IntMatrix.identity(3).mat_vec((1, 0))
+
+
 def faddeev_leverrier(matrix):
     """Reference det(xI - M) by the O(n^4) Faddeev-LeVerrier recurrence.
 

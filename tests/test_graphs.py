@@ -201,3 +201,17 @@ def test_oracle_checks_order_cap_on_the_graph():
     assert staged.partition.sizes == claimed_partition_sizes(spec)
     assert staged.matrix == distance_matrix(staged.graph)
     assert oracle(spec, MatrixKind.DISTANCE) == staged
+
+
+def test_oracle_refuses_over_cap_before_building_the_graph(monkeypatch):
+    import ncgspectra.graphs as graphs
+    from ncgspectra import verify_instance
+
+    def unreachable(group):
+        raise AssertionError("graph built for an over-cap instance")
+
+    monkeypatch.setattr(graphs, "non_commuting_graph", unreachable)
+    with pytest.raises(OrderCapExceeded, match="^QD_2048 graph order 2046 exceeds cap 150$"):
+        verify_instance(GroupSpec.qd(11), MatrixKind.DISTANCE)
+    with pytest.raises(OrderCapExceeded, match="^Q_12 graph order 10 exceeds cap 9$"):
+        oracle(GroupSpec.q4n(3), MatrixKind.DISTANCE_LAPLACIAN, order_cap=9)

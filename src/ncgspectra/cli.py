@@ -36,7 +36,6 @@ from .verify import (
     DEFAULT_ORDER_CAP,
     IntegralityRecord,
     VerificationReport,
-    _factor_out,
     search_integral,
     verify_grid,
 )
@@ -215,8 +214,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         poly = spectrum_to_polynomial(closed)
     else:
         poly = char_poly(oracle(spec, kind, args.order_cap).matrix)
-        residual, leftover = _factor_out(poly, closed)
-        if residual.coeffs == (1,) and not leftover:
+        if poly == spectrum_to_polynomial(closed):
             record["spectrum"] = _spectrum_entries(closed)
         else:
             include_poly = True

@@ -1,5 +1,9 @@
 """Non-commuting graphs, complete-multipartite certification, distance matrices.
 
+A graph is one neighbour bitmask per vertex, the format of the group's cached
+commutation relation.  It is complete multipartite iff "equal or non-adjacent"
+is an equivalence relation, which certification checks on the masks.
+
 The distance matrix is always computed by breadth-first search, even though
 the graphs at hand provably have diameter 2; this keeps the oracle honest and
 family-agnostic.
@@ -7,8 +11,10 @@ family-agnostic.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import IntMatrix
@@ -32,12 +38,25 @@ class OrderCapExceeded(ValueError):
     """Graph order exceeds the configured verification cap."""
 
 
+def select_bits(masks: Iterable[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """Re-index bitmasks: bit k of each result is bit indices[k] of its mask.
+
+    The bits are picked at C level from each mask's binary string, read least
+    significant bit first and written back most significant first.
+    """
+    if not indices:
+        return tuple(0 for _ in masks)
+    fmt = f"0{max(indices) + 1}b"
+    pick = itemgetter(*reversed(indices))
+    return tuple(int("".join(pick(format(m, fmt)[::-1])), 2) for m in masks)
+
+
 @dataclass(frozen=True)
 class NCGraph:
-    """A simple undirected graph with labeled vertices and boolean adjacency."""
+    """A simple undirected graph: bit j of `neighbors[i]` is set iff i ~ j."""
 
     vertices: tuple
-    adjacency: tuple[tuple[bool, ...], ...]
+    neighbors: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -48,8 +67,7 @@ class NCGraph:
         if sorted(order) != list(range(self.order)):
             raise ValueError("order must be a permutation of the vertex indices")
         verts = tuple(self.vertices[i] for i in order)
-        adj = tuple(tuple(self.adjacency[i][j] for j in order) for i in order)
-        return NCGraph(verts, adj)
+        return NCGraph(verts, select_bits([self.neighbors[i] for i in order], order))
 
 
 @dataclass(frozen=True)
@@ -73,15 +91,17 @@ class PartitionStructure:
 def non_commuting_graph(group: FiniteGroup) -> NCGraph:
     """Graph on the non-central elements, adjacent iff they do not commute.
 
-    The rows are read from the group's cached commutation masks.
+    An element is central iff its commutation mask is all ones; the rows are
+    the complemented masks re-indexed onto the non-central elements.
     """
-    z = center(group)
-    idx = [i for i, e in enumerate(group.elements) if e not in z]
+    masks = group.commuting_masks
+    everything = (1 << group.order) - 1
+    idx = [i for i, mask in enumerate(masks) if mask != everything]
     if not idx:
         raise AbelianGroupError(f"{group.spec.label()} is abelian, no vertices")
-    masks = group.commuting_masks
-    adj = tuple(tuple(not masks[i] >> j & 1 for j in idx) for i in idx)
-    return NCGraph(tuple(group.elements[i] for i in idx), adj)
+    full = (1 << len(idx)) - 1
+    rows = tuple(full & ~r for r in select_bits([masks[i] for i in idx], idx))
+    return NCGraph(tuple(group.elements[i] for i in idx), rows)
 
 
 def complete_multipartite(sizes: Iterable[int]) -> NCGraph:
@@ -89,62 +109,41 @@ def complete_multipartite(sizes: Iterable[int]) -> NCGraph:
     sizes = tuple(int(s) for s in sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
-    part_of = []
-    for p, s in enumerate(sizes):
-        part_of.extend([p] * s)
-    n = len(part_of)
-    adj = tuple(
-        tuple(i != j and part_of[i] != part_of[j] for j in range(n)) for i in range(n)
-    )
-    return NCGraph(tuple(range(n)), adj)
+    n = sum(sizes)
+    everything = (1 << n) - 1
+    neighbors, start = [], 0
+    for s in sizes:
+        neighbors += [everything & ~(((1 << s) - 1) << start)] * s
+        start += s
+    return NCGraph(tuple(range(n)), tuple(neighbors))
 
 
 def partition_structure(graph: NCGraph) -> PartitionStructure:
     """Certify the graph as complete multipartite and return its parts.
 
-    The parts are the connected components of the complement; the complement
-    must be a disjoint union of cliques and every cross-part pair must be
-    adjacent, otherwise NotCompleteMultipartite is raised.
+    Vertices are grouped by closed non-neighbourhood (itself and every vertex
+    not adjacent to it); the groups are the parts iff each one's members equal
+    its key.  Otherwise NotCompleteMultipartite names two witness vertices.
     """
     n = graph.order
-    adj = graph.adjacency
-    seen = [False] * n
-    classes = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in range(n):
-                if not seen[v] and u != v and not adj[u][v]:
-                    seen[v] = True
-                    queue.append(v)
-        comp.sort()
-        classes.append(tuple(comp))
-    for comp in classes:
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if adj[comp[a]][comp[b]]:
-                    raise NotCompleteMultipartite(
-                        f"vertices {comp[a]} and {comp[b]} are adjacent inside a "
-                        f"complement component of size {len(comp)}"
-                    )
-    for ci in range(len(classes)):
-        for cj in range(ci + 1, len(classes)):
-            for u in classes[ci]:
-                for v in classes[cj]:
-                    if not adj[u][v]:
-                        raise NotCompleteMultipartite(
-                            f"cross-part vertices {u} and {v} are not adjacent"
-                        )
-    classes.sort(key=lambda c: (-len(c), c[0]))
+    everything = (1 << n) - 1
+    members: dict[int, int] = {}
+    for u, row in enumerate(graph.neighbors):
+        key = everything & ~row | 1 << u
+        members[key] = members.get(key, 0) | 1 << u
+    for key, group in members.items():
+        if group != key:
+            u, v = next(bit_indices(group)), next(bit_indices(key & ~group))
+            raise NotCompleteMultipartite(
+                f"vertices {u} and {v} are not adjacent but have different "
+                "non-neighbourhoods"
+            )
+    classes = sorted(
+        (tuple(bit_indices(group)) for group in members.values()),
+        key=lambda c: (-len(c), c[0]),
+    )
     sizes = tuple(len(c) for c in classes)
-    counts = Counter(sizes)
-    parts = tuple(sorted(counts.items(), key=lambda sc: -sc[0]))
+    parts = tuple(sorted(Counter(sizes).items(), key=lambda sc: -sc[0]))
     return PartitionStructure(parts, n, sizes, tuple(classes))
 
 
@@ -158,11 +157,9 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     """
     partition = partition_structure(graph)
     reordered = graph.permuted(partition.vertex_order())
-    blocks, start = [], 0
-    for size in partition.sizes:
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    return reordered, replace(partition, classes=tuple(blocks))
+    sizes = partition.sizes
+    blocks = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
+    return reordered, replace(partition, classes=blocks)
 
 
 def distance_matrix(graph: NCGraph) -> IntMatrix:
@@ -173,10 +170,7 @@ def distance_matrix(graph: NCGraph) -> IntMatrix:
     """
     n = graph.order
     everything = (1 << n) - 1
-    neighbors = [
-        sum(1 << j for j, adjacent in enumerate(row) if adjacent)
-        for row in graph.adjacency
-    ]
+    neighbors = graph.neighbors
     rows = []
     for src in range(n):
         dist = [0] * n
@@ -207,24 +201,23 @@ def transmissions(dist: IntMatrix) -> tuple[int, ...]:
     return tuple(sum(row) for row in dist.rows)
 
 
+def _transmissions_plus(dist: IntMatrix, sign: int) -> IntMatrix:
+    """Diagonal transmissions plus sign times the distances."""
+    tr = transmissions(dist)
+    return IntMatrix(tuple(
+        tuple((tr[i] if i == j else 0) + sign * d for j, d in enumerate(row))
+        for i, row in enumerate(dist.rows)
+    ))
+
+
 def dl_matrix(dist: IntMatrix) -> IntMatrix:
     """Distance Laplacian: diagonal transmissions minus distances."""
-    tr = transmissions(dist)
-    rows = tuple(
-        tuple((tr[i] if i == j else 0) - dist.rows[i][j] for j in range(dist.n))
-        for i in range(dist.n)
-    )
-    return IntMatrix(rows)
+    return _transmissions_plus(dist, -1)
 
 
 def dq_matrix(dist: IntMatrix) -> IntMatrix:
     """Distance signless Laplacian: diagonal transmissions plus distances."""
-    tr = transmissions(dist)
-    rows = tuple(
-        tuple((tr[i] if i == j else 0) + dist.rows[i][j] for j in range(dist.n))
-        for i in range(dist.n)
-    )
-    return IntMatrix(rows)
+    return _transmissions_plus(dist, 1)
 
 
 def matrix_of_kind(dist: IntMatrix, kind: MatrixKind) -> IntMatrix:
@@ -246,9 +239,15 @@ class Oracle(NamedTuple):
 def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> Oracle:
     """Group -> order-cap check -> graph -> certified part-major graph -> matrix.
 
-    The cap (None for no cap) is checked on the graph order |G| - |Z(G)|,
-    which the O(|G|) centre gives before the O(|G|^2) graph is built.
+    The cap (None for no cap) is on the graph order |G| - |Z(G)|.  No family
+    is abelian, so G/Z(G) is not cyclic and |Z(G)| <= |G|/4: past 4 * cap the
+    group is refused unenumerated, and below that the exact order from the
+    O(|G|) centre is checked before the O(|G|^2) graph is built.
     """
+    if order_cap is not None and spec.order > 4 * order_cap:
+        raise OrderCapExceeded(
+            f"{spec.label()} graph order at least 3|G|/4 exceeds cap {order_cap}"
+        )
     group = enumerate_elements(spec)
     order = group.order - len(center(group))
     if order_cap is not None and order > order_cap:

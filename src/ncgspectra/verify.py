@@ -9,6 +9,7 @@ factored residual to aid diagnosis.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -158,15 +159,16 @@ def verify_grid(
     inexact division, or a char-poly coefficient bound beyond the prime
     table) becomes an error report with `error` set to the exception's type
     and message; any other exception is a programming error and propagates.
-    Instances are independent pure computations; with jobs > 1 they run in a
-    process pool, about four chunks per worker, because one small instance
-    costs less than sending it to a worker on its own.  Output order is always
-    by (spec, kind) position, not by completion time.
+    Instances are independent pure computations; when min(jobs, instances,
+    CPUs) > 1 they run in a pool of that many processes, all started at once,
+    with about four chunks per worker, as one small instance costs less than a
+    round trip to a worker.  Output order is by (spec, kind), not completion.
     """
     work = [(spec, kind, order_cap) for spec in specs for kind in kinds]
-    if jobs > 1 and len(work) > 1:
-        chunksize = math.ceil(len(work) / (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        chunksize = math.ceil(len(work) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_verify_job, work, chunksize=chunksize))
     return [_verify_job(w) for w in work]
 

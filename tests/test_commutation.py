@@ -2,11 +2,14 @@
 
 The references below multiply pair by pair: the centre by a full scan, the CA
 check by testing every pair of every centralizer, the graph by comparing both
-products of every ordered pair, and the distances by a deque BFS.
+products of every ordered pair, and the distances by a deque BFS.  The
+partition is certified by a BFS over the complement plus a check of every pair
+inside and across its components.  The references read the graph's
+neighbour masks one bit at a time.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,14 +22,19 @@ from ncgspectra import (
     GroupSpec,
     IntMatrix,
     NCGraph,
+    NotCompleteMultipartite,
+    PartitionStructure,
     center,
     centralizer,
+    complete_multipartite,
     default_grid,
     distance_matrix,
     enumerate_elements,
     is_ca_group,
     non_commuting_graph,
+    partition_structure,
 )
+from ncgspectra.graphs import select_bits
 
 # The groups of the structure-large benchmark workload: just beyond the
 # default verify cap, graph orders 254, 158, 155, 153 and 154.
@@ -76,15 +84,20 @@ def reference_graph(group):
     z = reference_center(group)
     verts = tuple(e for e in group.elements if e not in z)
     mult = group.mult
-    adj = tuple(
-        tuple(u != v and mult(u, v) != mult(v, u) for v in verts) for u in verts
+    rows = tuple(
+        sum(1 << j for j, v in enumerate(verts) if u != v and mult(u, v) != mult(v, u))
+        for u in verts
     )
-    return NCGraph(verts, adj)
+    return NCGraph(verts, rows)
+
+
+def adjacent(graph, i, j):
+    return bool(graph.neighbors[i] >> j & 1)
 
 
 def reference_distance_matrix(graph):
     n = graph.order
-    neighbors = [[j for j in range(n) if graph.adjacency[i][j]] for i in range(n)]
+    neighbors = [[j for j in range(n) if adjacent(graph, i, j)] for i in range(n)]
     rows = []
     for src in range(n):
         dist = [-1] * n
@@ -103,6 +116,49 @@ def reference_distance_matrix(graph):
     return IntMatrix(tuple(rows))
 
 
+def reference_partition_structure(graph):
+    n = graph.order
+    adj = [[adjacent(graph, i, j) for j in range(n)] for i in range(n)]
+    seen = [False] * n
+    classes = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = []
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for v in range(n):
+                if not seen[v] and u != v and not adj[u][v]:
+                    seen[v] = True
+                    queue.append(v)
+        comp.sort()
+        classes.append(tuple(comp))
+    for comp in classes:
+        for a in range(len(comp)):
+            for b in range(a + 1, len(comp)):
+                if adj[comp[a]][comp[b]]:
+                    raise NotCompleteMultipartite(
+                        f"vertices {comp[a]} and {comp[b]} are adjacent inside a "
+                        f"complement component of size {len(comp)}"
+                    )
+    for ci in range(len(classes)):
+        for cj in range(ci + 1, len(classes)):
+            for u in classes[ci]:
+                for v in classes[cj]:
+                    if not adj[u][v]:
+                        raise NotCompleteMultipartite(
+                            f"cross-part vertices {u} and {v} are not adjacent"
+                        )
+    classes.sort(key=lambda c: (-len(c), c[0]))
+    sizes = tuple(len(c) for c in classes)
+    counts = Counter(sizes)
+    parts = tuple(sorted(counts.items(), key=lambda sc: -sc[0]))
+    return PartitionStructure(parts, n, sizes, tuple(classes))
+
+
 @pytest.mark.parametrize(
     "spec", default_grid() + LARGE_SPECS, ids=lambda s: s.label()
 )
@@ -115,6 +171,7 @@ def test_mask_paths_equal_references(spec):
     graph = non_commuting_graph(group)
     assert graph == reference_graph(group)
     assert distance_matrix(graph) == reference_distance_matrix(graph)
+    assert partition_structure(graph) == reference_partition_structure(graph)
 
 
 @pytest.mark.parametrize(
@@ -163,11 +220,12 @@ def random_graphs(draw):
         # draws connected
         order = draw(st.permutations(range(n)))
         edges += list(zip(order, order[1:]))
-    adj = [[False] * n for _ in range(n)]
+    rows = [0] * n
     for u, v in edges:
         if u != v:
-            adj[u][v] = adj[v][u] = True
-    return NCGraph(tuple(range(n)), tuple(tuple(row) for row in adj))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return NCGraph(tuple(range(n)), tuple(rows))
 
 
 def _outcome(bfs, graph):
@@ -179,7 +237,7 @@ def _outcome(bfs, graph):
 
 @settings(max_examples=300, deadline=None)
 @given(random_graphs())
-@example(NCGraph((0, 1, 2), ((False, True, False), (True, False, False), (False,) * 3)))
+@example(NCGraph((0, 1, 2), (0b010, 0b001, 0b000)))
 def test_bitset_bfs_equals_deque_bfs(graph):
     assert _outcome(distance_matrix, graph) == _outcome(
         reference_distance_matrix, graph
@@ -187,12 +245,63 @@ def test_bitset_bfs_equals_deque_bfs(graph):
 
 
 def test_disconnected_message_names_lowest_unreachable_vertex():
-    adj = (
-        (False, True, False, True, False),
-        (True, False, False, False, False),
-        (False, False, False, False, True),
-        (True, False, False, False, False),
-        (False, False, True, False, False),
-    )
+    rows = (0b01010, 0b00001, 0b10000, 0b00001, 0b00100)
     with pytest.raises(DisconnectedGraph, match="^vertex 2 unreachable from vertex 0$"):
-        distance_matrix(NCGraph(tuple(range(5)), adj))
+        distance_matrix(NCGraph(tuple(range(5)), rows))
+
+
+@st.composite
+def relabelled_multipartite(draw):
+    """K_{n_1,...,n_k} under a random vertex order, with one pair flipped or not."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    graph = complete_multipartite(sizes)
+    graph = graph.permuted(draw(st.permutations(range(graph.order))))
+    if graph.order > 1 and draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, graph.order - 1), min_size=2,
+                             max_size=2, unique=True))
+        rows = list(graph.neighbors)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        graph = NCGraph(graph.vertices, tuple(rows))
+    return graph
+
+
+def _certificate(certify, graph):
+    try:
+        return certify(graph)
+    except NotCompleteMultipartite:
+        return "rejected"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_graphs(), relabelled_multipartite()))
+@example(complete_multipartite([3, 1, 2]))
+@example(NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100)))
+# a set diagonal bit is ignored by both, as the reference skips u == v
+@example(NCGraph((0, 1, 2), (0b111, 0b001, 0b001)))
+def test_mask_certificate_equals_complement_bfs(graph):
+    assert _certificate(partition_structure, graph) == _certificate(
+        reference_partition_structure, graph
+    )
+
+
+def test_not_complete_multipartite_message_names_two_witnesses():
+    # path 0-1-2-3: 0 and 2 are not adjacent, but 3 is adjacent to 2 and not to 0
+    path = NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100))
+    with pytest.raises(
+        NotCompleteMultipartite,
+        match="^vertices 0 and 2 are not adjacent but have different non-neighbourhoods$",
+    ):
+        partition_structure(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**70), max_size=5),
+    st.lists(st.integers(0, 63), max_size=40),
+)
+def test_select_bits_equals_per_bit_reference(masks, indices):
+    expected = tuple(
+        sum(1 << k for k, i in enumerate(indices) if mask >> i & 1) for mask in masks
+    )
+    assert select_bits(masks, indices) == expected

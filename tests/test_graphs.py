@@ -3,6 +3,7 @@ import pytest
 from ncgspectra import (
     AbelianGroupError,
     DisconnectedGraph,
+    FiniteGroup,
     GroupElement,
     GroupSpec,
     IntMatrix,
@@ -10,6 +11,7 @@ from ncgspectra import (
     NCGraph,
     NotCompleteMultipartite,
     OrderCapExceeded,
+    center,
     claimed_partition_sizes,
     complete_multipartite,
     default_grid,
@@ -40,25 +42,24 @@ def test_vertex_counts():
 def test_adjacency_is_noncommuting_and_symmetric():
     g = enumerate_elements(GroupSpec.u6n(2))
     graph = non_commuting_graph(g)
+    rows = graph.neighbors
     for i, u in enumerate(graph.vertices):
-        assert not graph.adjacency[i][i]
+        assert not rows[i] >> i & 1
+        assert rows[i] >> graph.order == 0
         for j, v in enumerate(graph.vertices):
-            assert graph.adjacency[i][j] == graph.adjacency[j][i]
-            assert graph.adjacency[i][j] == (i != j and g.mult(u, v) != g.mult(v, u))
+            assert rows[i] >> j & 1 == rows[j] >> i & 1
+            assert bool(rows[i] >> j & 1) == (i != j and g.mult(u, v) != g.mult(v, u))
 
 
 def test_abelian_group_rejected():
-    class Cyclic:
-        def __init__(self, n):
-            self.n = n
-            self.elements = tuple(GroupElement(i, 0) for i in range(n))
-            self.spec = GroupSpec.u6n(1)
+    def cyclic_mult(x, y):
+        return GroupElement((x.a_exp + y.a_exp) % 5, 0)
 
-        def mult(self, x, y):
-            return GroupElement((x.a_exp + y.a_exp) % self.n, 0)
-
+    cyclic = FiniteGroup(
+        GroupSpec.u6n(1), tuple(GroupElement(i, 0) for i in range(5)), cyclic_mult
+    )
     with pytest.raises(AbelianGroupError):
-        non_commuting_graph(Cyclic(5))
+        non_commuting_graph(cyclic)
 
 
 @pytest.mark.parametrize(
@@ -92,19 +93,14 @@ def test_partition_reconstruction_reproduces_adjacency():
     for spec in [GroupSpec.q4n(3), GroupSpec.u6n(2), GroupSpec.metacyclic(5, 2)]:
         reordered, partition = part_major(graph_of(spec))
         rebuilt = complete_multipartite(partition.sizes)
-        assert rebuilt.adjacency == reordered.adjacency
+        assert rebuilt.neighbors == reordered.neighbors
 
 
 def test_not_complete_multipartite_rejected():
     # path on four vertices: its complement is connected but not a clique
-    adj = (
-        (False, True, False, False),
-        (True, False, True, False),
-        (False, True, False, True),
-        (False, False, True, False),
-    )
+    neighbors = (0b0010, 0b0101, 0b1010, 0b0100)
     with pytest.raises(NotCompleteMultipartite):
-        partition_structure(NCGraph((0, 1, 2, 3), adj))
+        partition_structure(NCGraph((0, 1, 2, 3), neighbors))
 
 
 def test_part_major_blocks_are_contiguous():
@@ -211,7 +207,33 @@ def test_oracle_refuses_over_cap_before_building_the_graph(monkeypatch):
         raise AssertionError("graph built for an over-cap instance")
 
     monkeypatch.setattr(graphs, "non_commuting_graph", unreachable)
-    with pytest.raises(OrderCapExceeded, match="^QD_2048 graph order 2046 exceeds cap 150$"):
+    with pytest.raises(
+        OrderCapExceeded, match=r"^QD_2048 graph order at least 3\|G\|/4 exceeds cap 150$"
+    ):
         verify_instance(GroupSpec.qd(11), MatrixKind.DISTANCE)
+    with pytest.raises(OrderCapExceeded, match="^QD_256 graph order 254 exceeds cap 150$"):
+        verify_instance(GroupSpec.qd(8), MatrixKind.DISTANCE)
     with pytest.raises(OrderCapExceeded, match="^Q_12 graph order 10 exceeds cap 9$"):
         oracle(GroupSpec.q4n(3), MatrixKind.DISTANCE_LAPLACIAN, order_cap=9)
+
+
+def test_oracle_refuses_far_over_cap_before_enumerating(monkeypatch):
+    import ncgspectra.graphs as graphs
+    from ncgspectra import verify_instance
+
+    def unreachable(spec):
+        raise AssertionError("group enumerated for a far over-cap instance")
+
+    monkeypatch.setattr(graphs, "enumerate_elements", unreachable)
+    with pytest.raises(
+        OrderCapExceeded,
+        match=r"^QD_1099511627776 graph order at least 3\|G\|/4 exceeds cap 150$",
+    ):
+        verify_instance(GroupSpec.qd(40), MatrixKind.DISTANCE)
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=lambda s: s.label())
+def test_centre_is_at_most_a_quarter_of_the_group(spec):
+    # the bound behind refusing from spec.order: G/Z(G) is never cyclic here
+    group = enumerate_elements(spec)
+    assert 4 * len(center(group)) <= group.order == spec.order

@@ -180,6 +180,36 @@ class TestVerifyGrid:
         parallel = verify_grid(specs, ALL_KINDS, jobs=2)
         assert serial == parallel
 
+    def test_pool_workers_clamped_to_cpus_and_work(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work, chunksize):
+                assert chunksize == -(-len(work) // (4 * requested[-1]))
+                return map(fn, work)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        specs = [GroupSpec.u6n(n) for n in (1, 2)]
+        serial = verify_grid(specs, ALL_KINDS, jobs=1)
+        assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
+        assert verify_grid(specs, (D,), jobs=5000) == [r for r in serial if r.kind == D]
+        assert requested == [3, 2]
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
+        assert requested == [3, 2]
+
     def test_default_grid_shape(self):
         specs = default_grid()
         assert len(specs) == 11 + 4 + 10 + 32

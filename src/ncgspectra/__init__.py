@@ -48,14 +48,11 @@ from .graphs import (
     PartitionStructure,
     complete_multipartite,
     distance_matrix,
-    dl_matrix,
-    dq_matrix,
     matrix_of_kind,
     non_commuting_graph,
     oracle,
     part_major,
     partition_structure,
-    transmissions,
 )
 from .groups import (
     FiniteGroup,

@@ -3,7 +3,12 @@
 All big integers are serialized as decimal strings in JSON so that 64-bit
 consumers never lose precision; characteristic polynomial coefficients exceed
 2^63 almost immediately.  Exit codes: 0 success (verify: all matched), 1
-verification mismatch found, 2 usage error.
+verification mismatch found, 2 usage error.  An exception that escapes a
+command maps to an exit code with one line on stderr: InvalidParameters and
+the oracle's limits, OrderCapExceeded and ArithmeticError (a char-poly
+coefficient bound beyond the prime table), print "error: ..." and exit 2;
+NotCompleteMultipartite prints "structural violation: ..." and exits 1.
+Any other exception is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .closedform import (
     spectrum_for,
     spectrum_to_polynomial,
 )
-from .exactalg import char_poly
 from .families import (
     ALL_KINDS,
     FAMILIES,
@@ -31,13 +35,14 @@ from .families import (
     InvalidParameters,
     MatrixKind,
 )
-from .graphs import NotCompleteMultipartite, OrderCapExceeded, oracle
+from .graphs import NotCompleteMultipartite, OrderCapExceeded
 from .verify import (
     DEFAULT_ORDER_CAP,
     IntegralityRecord,
     VerificationReport,
     search_integral,
     verify_grid,
+    verify_instance,
 )
 
 USAGE_ERROR = 2
@@ -65,12 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [k.value for k in ALL_KINDS]
 
     sp = sub.add_parser("spectrum", help="print one spectrum")
     sp.add_argument("--group", required=True, choices=FAMILIES)
     sp.add_argument("--n", required=True, type=int)
     sp.add_argument("--m", type=int, help="required for metacyclic")
-    sp.add_argument("--matrix", required=True, choices=["d", "dl", "dq"])
+    sp.add_argument("--matrix", required=True, choices=kinds)
     sp.add_argument("--method", default="closed", choices=["closed", "oracle"])
     sp.add_argument("--format", default="text", choices=["text", "json", "csv"])
     sp.add_argument("--charpoly", action="store_true",
@@ -82,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--group", required=True, choices=FAMILIES)
     vp.add_argument("--n-range", required=True, type=_parse_range)
     vp.add_argument("--m-range", type=_parse_range, help="required for metacyclic")
-    vp.add_argument("--matrix", default="all", choices=["d", "dl", "dq", "all"])
+    vp.add_argument("--matrix", default="all", choices=kinds + ["all"])
     vp.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
     vp.add_argument("--jobs", type=int, default=1)
     vp.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -90,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ip = sub.add_parser("search-integral", help="scan parameters for integral spectra")
     ip.add_argument("--group", required=True, choices=FAMILIES)
-    ip.add_argument("--matrix", required=True, choices=["d", "dl", "dq"])
+    ip.add_argument("--matrix", required=True, choices=kinds)
     ip.add_argument("--max-n", required=True, type=int)
     ip.add_argument("--m", type=int, help="required for metacyclic")
     ip.add_argument("--format", default="csv", choices=["text", "json", "csv"])
@@ -121,26 +127,6 @@ def _spectrum_entries(spectrum: SpectrumSpec) -> list[dict]:
     return out
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
-
-
-def _csv_lines(header: list[str], rows: list[list]) -> list[str]:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().splitlines()
-
-
 def _write(
     args: argparse.Namespace,
     records: list[dict],
@@ -150,12 +136,19 @@ def _write(
 ) -> None:
     """Write one command's records in the chosen --format to --out or stdout."""
     if args.format == "json":
-        lines = [_json_line(r) for r in records]
+        out = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
     elif args.format == "csv":
-        lines = _csv_lines(csv_header, [row for r in records for row in csv_rows(r)])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(row for r in records for row in csv_rows(r))
+        out = buf.getvalue()
     else:
-        lines = text(records)
-    _emit(lines, args.out)
+        out = "".join(line + "\n" for line in text(records))
+    if args.out:
+        Path(args.out).write_text(out)
+    else:
+        sys.stdout.write(out)
 
 
 def _csv_key(record: dict) -> list:
@@ -213,8 +206,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         record["spectrum"] = _spectrum_entries(closed)
         poly = spectrum_to_polynomial(closed)
     else:
-        poly = char_poly(oracle(spec, kind, args.order_cap).matrix)
-        if poly == spectrum_to_polynomial(closed):
+        report = verify_instance(spec, kind, args.order_cap)
+        poly = report.oracle_poly
+        if report.matched:
             record["spectrum"] = _spectrum_entries(closed)
         else:
             include_poly = True
@@ -350,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_search_integral(args)
-    except (InvalidParameters, OrderCapExceeded) as exc:
+    except (InvalidParameters, OrderCapExceeded, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NotCompleteMultipartite as exc:

@@ -90,17 +90,20 @@ def make_spectrum(
     return spec
 
 
+def entry_factor(desc: EigDesc) -> IntPolynomial:
+    """The monic factor of one spectrum entry: x - v, or x^2 - s*x + p for a pair."""
+    if isinstance(desc, QuadraticEig):
+        return IntPolynomial((desc.p, -desc.s, 1))
+    if isinstance(desc, int):
+        return IntPolynomial.x_minus(desc)
+    raise NonIntegralSpectrum(f"cannot expand entry {desc!r}")
+
+
 def spectrum_to_polynomial(spectrum: SpectrumSpec) -> IntPolynomial:
-    """Expand prod (x - v)^mult * prod (x^2 - s*x + p)^mult exactly."""
+    """Expand the product of every entry's factor to its multiplicity, exactly."""
     result = POLY_ONE
     for desc, mult in spectrum.entries:
-        if isinstance(desc, QuadraticEig):
-            factor = IntPolynomial((desc.p, -desc.s, 1))
-        elif isinstance(desc, int):
-            factor = IntPolynomial.x_minus(desc)
-        else:
-            raise NonIntegralSpectrum(f"cannot expand entry {desc!r}")
-        result = result * factor**mult
+        result = result * entry_factor(desc) ** mult
     return result
 
 

@@ -327,10 +327,9 @@ def _metacyclic_rewrite(n: int, m: int) -> Rule:
     return mult
 
 
-def _metacyclic_parts(n: int, m: int) -> tuple[int, int, int]:
-    if m % 2 == 0:
-        n, m = 2 * n, m // 2
-    return ((m - 1) * n, n, m)
+def _even_m_at_odd(odd_m_form: Callable) -> Callable:
+    """An odd-m M_2mn form, evaluated at (2n, m/2) when m is even."""
+    return lambda n, m: odd_m_form(n, m) if m % 2 else odd_m_form(2 * n, m // 2)
 
 
 def _metacyclic_t(n: int, m: int) -> tuple[int, int, int] | None:
@@ -342,8 +341,6 @@ def _metacyclic_t(n: int, m: int) -> tuple[int, int, int] | None:
 
 
 def _metacyclic_d(n: int, m: int) -> RawSpectrum:
-    if m % 2 == 0:
-        n, m = 2 * n, m // 2
     s = 3 * m * n - n - 4
     num = s * s - n * n * (5 * m * m - 10 * m + 9)
     if num % 4:
@@ -356,8 +353,6 @@ def _metacyclic_d(n: int, m: int) -> RawSpectrum:
 
 
 def _metacyclic_dl(n: int, m: int) -> RawSpectrum:
-    if m % 2 == 0:
-        n, m = 2 * n, m // 2
     return [
         (0, 1),
         (n * (2 * m - 1), m),
@@ -398,8 +393,12 @@ METACYCLIC_FAMILY = Family(
     label=lambda n, m: f"M_{2 * m * n}",
     generator_orders=lambda n, m: (m, 2 * n),
     rewrite=_metacyclic_rewrite,
-    parts=_metacyclic_parts,
-    closed_forms={D: _metacyclic_d, DL: _metacyclic_dl, DQ: _metacyclic_dq},
+    parts=_even_m_at_odd(lambda n, m: ((m - 1) * n, n, m)),
+    closed_forms={
+        D: _even_m_at_odd(_metacyclic_d),
+        DL: _even_m_at_odd(_metacyclic_dl),
+        DQ: _metacyclic_dq,
+    },
     t_quadratic=_metacyclic_t,
     distance_core=_metacyclic_core,
 )

@@ -11,7 +11,6 @@ family-agnostic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import itemgetter
@@ -76,16 +75,11 @@ class PartitionStructure:
 
     `classes` lists vertex-index groups in part-major order (largest part
     first, ties by smallest vertex index); `sizes` are the matching class
-    sizes; `parts` is the (size, count) multiset summary.
+    sizes, so the graph order is their sum.
     """
 
-    parts: tuple[tuple[int, int], ...]
-    total: int
     sizes: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-
-    def vertex_order(self) -> tuple[int, ...]:
-        return tuple(i for cls in self.classes for i in cls)
 
 
 def non_commuting_graph(group: FiniteGroup) -> NCGraph:
@@ -142,9 +136,7 @@ def partition_structure(graph: NCGraph) -> PartitionStructure:
         (tuple(bit_indices(group)) for group in members.values()),
         key=lambda c: (-len(c), c[0]),
     )
-    sizes = tuple(len(c) for c in classes)
-    parts = tuple(sorted(Counter(sizes).items(), key=lambda sc: -sc[0]))
-    return PartitionStructure(parts, n, sizes, tuple(classes))
+    return PartitionStructure(tuple(len(c) for c in classes), tuple(classes))
 
 
 def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
@@ -156,7 +148,7 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     which is what certifying it again would return.
     """
     partition = partition_structure(graph)
-    reordered = graph.permuted(partition.vertex_order())
+    reordered = graph.permuted([i for cls in partition.classes for i in cls])
     sizes = partition.sizes
     blocks = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
     return reordered, replace(partition, classes=blocks)
@@ -196,36 +188,15 @@ def distance_matrix(graph: NCGraph) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def transmissions(dist: IntMatrix) -> tuple[int, ...]:
-    """Row sums of the distance matrix."""
-    return tuple(sum(row) for row in dist.rows)
-
-
-def _transmissions_plus(dist: IntMatrix, sign: int) -> IntMatrix:
-    """Diagonal transmissions plus sign times the distances."""
-    tr = transmissions(dist)
-    return IntMatrix(tuple(
-        tuple((tr[i] if i == j else 0) + sign * d for j, d in enumerate(row))
-        for i, row in enumerate(dist.rows)
-    ))
-
-
-def dl_matrix(dist: IntMatrix) -> IntMatrix:
-    """Distance Laplacian: diagonal transmissions minus distances."""
-    return _transmissions_plus(dist, -1)
-
-
-def dq_matrix(dist: IntMatrix) -> IntMatrix:
-    """Distance signless Laplacian: diagonal transmissions plus distances."""
-    return _transmissions_plus(dist, 1)
-
-
 def matrix_of_kind(dist: IntMatrix, kind: MatrixKind) -> IntMatrix:
+    """D as is; D^L = Tr - D and D^Q = Tr + D, Tr the diagonal of row sums."""
     if kind == MatrixKind.DISTANCE:
         return dist
-    if kind == MatrixKind.DISTANCE_LAPLACIAN:
-        return dl_matrix(dist)
-    return dq_matrix(dist)
+    sign = -1 if kind == MatrixKind.DISTANCE_LAPLACIAN else 1
+    return IntMatrix(tuple(
+        tuple((tr if i == j else 0) + sign * d for j, d in enumerate(row))
+        for i, (row, tr) in enumerate(zip(dist.rows, map(sum, dist.rows)))
+    ))
 
 
 class Oracle(NamedTuple):

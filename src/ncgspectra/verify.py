@@ -14,8 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .closedform import (
-    QuadraticEig,
     SpectrumSpec,
+    entry_factor,
     spectrum_for,
     spectrum_to_polynomial,
 )
@@ -75,10 +75,7 @@ def _factor_out(
     residual = oracle
     leftover = []
     for desc, mult in spectrum.entries:
-        if isinstance(desc, QuadraticEig):
-            factor = IntPolynomial((desc.p, -desc.s, 1))
-        else:
-            factor = IntPolynomial.x_minus(desc)
+        factor = entry_factor(desc)
         used = 0
         while used < mult:
             quot, rem = residual.divmod_monic(factor)
@@ -106,20 +103,16 @@ def verify_instance(
 ) -> VerificationReport:
     """Compare the closed-form spectrum polynomial with the oracle, exactly."""
     staged = oracle(spec, kind, order_cap)
-    order = staged.graph.order
     oracle_poly = char_poly(staged.matrix)
     spectrum = spectrum_for(spec, kind)
     closed = spectrum_to_polynomial(spectrum)
-    if oracle_poly == closed:
-        return VerificationReport(
-            spec, kind, order, True, oracle_poly, closed, staged.partition
-        )
-    residual, leftover = _factor_out(oracle_poly, spectrum)
+    matched = oracle_poly == closed
+    residual, leftover = (None, ()) if matched else _factor_out(oracle_poly, spectrum)
     return VerificationReport(
         spec,
         kind,
-        order,
-        False,
+        staged.graph.order,
+        matched,
         oracle_poly,
         closed,
         staged.partition,

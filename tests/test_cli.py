@@ -300,3 +300,19 @@ def test_spectrum_oracle_refuses_over_cap_before_building_a_matrix(capsys, monke
     )
     assert code == 2
     assert "exceeds" in err
+
+
+def test_spectrum_oracle_char_poly_limit_is_an_error_not_a_traceback(capsys, monkeypatch):
+    import ncgspectra.verify as verify
+
+    def refusing(matrix):
+        raise ArithmeticError("coefficient bound beyond the Mersenne prime table")
+
+    monkeypatch.setattr(verify, "char_poly", refusing)
+    code, out, err = run(
+        capsys, "spectrum", "--group", "q4n", "--n", "2", "--matrix", "d",
+        "--method", "oracle",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficient bound beyond the Mersenne prime table\n"

@@ -9,7 +9,7 @@ neighbour masks one bit at a time.
 """
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -153,10 +153,7 @@ def reference_partition_structure(graph):
                             f"cross-part vertices {u} and {v} are not adjacent"
                         )
     classes.sort(key=lambda c: (-len(c), c[0]))
-    sizes = tuple(len(c) for c in classes)
-    counts = Counter(sizes)
-    parts = tuple(sorted(counts.items(), key=lambda sc: -sc[0]))
-    return PartitionStructure(parts, n, sizes, tuple(classes))
+    return PartitionStructure(tuple(len(c) for c in classes), tuple(classes))
 
 
 @pytest.mark.parametrize(

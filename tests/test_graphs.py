@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ncgspectra import (
@@ -16,17 +18,17 @@ from ncgspectra import (
     complete_multipartite,
     default_grid,
     distance_matrix,
-    dl_matrix,
-    dq_matrix,
     enumerate_elements,
+    matrix_of_kind,
     non_commuting_graph,
     oracle,
     part_major,
     partition_structure,
-    transmissions,
 )
 
 K2 = complete_multipartite([1, 1])
+DL = MatrixKind.DISTANCE_LAPLACIAN
+DQ = MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN
 
 
 def graph_of(spec):
@@ -77,15 +79,16 @@ def test_abelian_group_rejected():
 )
 def test_partition_shapes(spec, parts):
     partition = partition_structure(graph_of(spec))
-    assert partition.parts == parts
-    assert partition.total == sum(s * c for s, c in parts)
+    counts = Counter(partition.sizes)
+    assert tuple(sorted(counts.items(), key=lambda sc: -sc[0])) == parts
+    assert sum(partition.sizes) == sum(s * c for s, c in parts)
     assert partition.sizes == claimed_partition_sizes(spec)
 
 
 def test_partition_classes_cover_and_match_sizes():
     partition = partition_structure(graph_of(GroupSpec.q4n(3)))
     seen = sorted(i for cls in partition.classes for i in cls)
-    assert seen == list(range(partition.total))
+    assert seen == list(range(sum(partition.sizes)))
     assert tuple(len(c) for c in partition.classes) == partition.sizes
 
 
@@ -154,6 +157,12 @@ def test_disconnected_graph_rejected():
         distance_matrix(complete_multipartite([3]))
 
 
+def transmissions(dist):
+    """The diagonal of D^L, which is the row sums of D as D has a zero diagonal."""
+    dl = matrix_of_kind(dist, DL)
+    return tuple(dl.rows[i][i] for i in range(dl.n))
+
+
 def test_transmissions():
     d = distance_matrix(part_major(graph_of(GroupSpec.q4n(2)))[0])
     assert transmissions(d) == (6,) * 6
@@ -163,9 +172,9 @@ def test_transmissions():
 
 
 def test_dl_dq_matrices():
-    assert dl_matrix(distance_matrix(K2)) == IntMatrix(((1, -1), (-1, 1)))
+    assert matrix_of_kind(distance_matrix(K2), DL) == IntMatrix(((1, -1), (-1, 1)))
     d = distance_matrix(part_major(graph_of(GroupSpec.q4n(2)))[0])
-    dl = dl_matrix(d)
+    dl = matrix_of_kind(d, DL)
     assert all(sum(row) == 0 for row in dl.rows)
     assert dl == IntMatrix(
         tuple(
@@ -173,7 +182,7 @@ def test_dl_dq_matrices():
             for i in range(6)
         )
     )
-    dq = dq_matrix(d)
+    dq = matrix_of_kind(d, DQ)
     assert dq.trace() == 36
     assert all(
         dq.rows[i][j] - dl.rows[i][j] == 2 * d.rows[i][j]
@@ -185,7 +194,7 @@ def test_dl_dq_matrices():
 def test_dl_rows_sum_to_zero_across_families():
     for spec in [GroupSpec.qd(4), GroupSpec.u6n(3), GroupSpec.metacyclic(7, 1)]:
         d = distance_matrix(part_major(graph_of(spec))[0])
-        assert all(sum(row) == 0 for row in dl_matrix(d).rows)
+        assert all(sum(row) == 0 for row in matrix_of_kind(d, DL).rows)
 
 
 def test_oracle_checks_order_cap_on_the_graph():

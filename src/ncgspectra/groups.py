@@ -4,18 +4,23 @@ Each family's presentation and rewrite rule live in its record in
 `ncgspectra.families`; this module enumerates the normal forms, binds the
 rule once per group, and computes centres, centralizers and the CA property.
 
-The commutation relation of a group is computed once, from the products of
-`FiniteGroup.mult` over every unordered pair, and cached on the group as one
-integer bitmask per element.  Centralizers, the CA check and the
-non-commuting graph all read those masks.  The centre needs no masks: every
-`FiniteGroup` is generated by a and b, so it is found in O(|G|) products.
+Everything is read from the regular representation of the two generators
+(Cayley's theorem): the permutations L_a, L_b, R_a and R_b of the element
+indices, y -> a*y, b*y, y*a and y*b, cost 4|G| products of
+`FiniteGroup.mult`.  The centre is read off them directly.  The commutation
+relation is one integer bitmask per element: for x = a^i b^j the
+permutations L_x and R_x are composed from those of the generators, one
+element after the other, and x commutes with y iff L_x[y] == R_x[y].
+Centralizers, the CA check and the non-commuting graph all read those masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from itertools import repeat
+from operator import eq, itemgetter
+from typing import Iterator, NamedTuple
 
 from .families import GroupElement, GroupSpec, Rule
 
@@ -33,10 +38,41 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class RegularPermutations(NamedTuple):
+    """The generators' regular permutations of a group, as index tuples.
+
+    `left_a[y]` is the index of a*y and `right_a[y]` that of y*a, and so for
+    b; the elements form the grid of `a_order` by `b_order` normal forms.
+    """
+
+    a_order: int
+    b_order: int
+    left_a: tuple[int, ...]
+    left_b: tuple[int, ...]
+    right_a: tuple[int, ...]
+    right_b: tuple[int, ...]
+
+
+# bytes of 0/1 -> ASCII binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A fully enumerated group: spec, normal forms in canonical order, and the
-    family's rewrite rule bound once to this group's parameters."""
+    family's rewrite rule bound once to this group's parameters.
+
+    The elements must be the normal forms a^i b^j of a grid, i in
+    range(oa) and j in range(ob), ordered by (b_exp, a_exp), so element k
+    is a^(k mod oa) b^(k div oa).  Here oa and ob are read from the elements
+    (one more than the largest exponents), and `mult` must agree with the
+    labels: a * a^i b^j = a^(i+1) b^j for i + 1 < oa and
+    a^i b^j * b = a^i b^(j+1) for j + 1 < ob, where a = a^1 b^0 and
+    b = a^0 b^1 (the identity when that exponent range is a single value).
+    Then a and b generate the group.  The contract is checked when the
+    regular representation is first read, and ValueError names the first
+    element that breaks it.
+    """
 
     spec: GroupSpec
     elements: tuple[GroupElement, ...]
@@ -56,21 +92,66 @@ class FiniteGroup:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def commuting_masks(self) -> tuple[int, ...]:
-        """Bit j of entry i is set iff elements i and j commute.
-
-        Filled over the pairs i < j with both products from `mult`; every
-        element commutes with itself, so bit i of entry i is set.
-        """
-        mult = self.mult
+    def regular(self) -> RegularPermutations:
+        """L_a, L_b, R_a and R_b from 4|G| products, after checking the contract."""
         elems = self.elements
-        masks = [1 << i for i in range(len(elems))]
-        for i, x in enumerate(elems):
-            for j in range(i + 1, len(elems)):
-                y = elems[j]
-                if mult(x, y) == mult(y, x):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+        if not elems:
+            raise ValueError("a group has at least one element")
+        n = len(elems)
+        oa = 1 + max(x.a_exp for x in elems)
+        ob = 1 + max(x.b_exp for x in elems)
+        for k in range(max(n, oa * ob)):
+            x = elems[k] if k < n else "missing"
+            y = (k % oa, k // oa) if k < oa * ob else None
+            if x != y:
+                want = f"expected {GroupElement(*y)!r}" if y else "past the end"
+                raise ValueError(
+                    f"element {k} is {x}, {want} of the {oa} x {ob} normal-form grid"
+                )
+        at, mult = self.index.__getitem__, self.mult
+        a, b = elems[1 % oa], elems[oa % n]
+        lefts = [map(mult, repeat(g, n), elems) for g in (a, b)]
+        rights = [map(mult, elems, repeat(g, n)) for g in (a, b)]
+        try:
+            perms = [tuple(map(at, p)) for p in lefts + rights]
+        except KeyError as exc:
+            raise ValueError(f"product {exc.args[0]!r} is not an element") from None
+        left_a, _, _, right_b = perms
+        for k, x in enumerate(elems):
+            if x.a_exp + 1 < oa and left_a[k] != k + 1:
+                raise ValueError(
+                    f"a * {x!r} is {elems[left_a[k]]!r}, expected {elems[k + 1]!r}"
+                )
+            if x.b_exp + 1 < ob and right_b[k] != k + oa:
+                raise ValueError(
+                    f"{x!r} * b is {elems[right_b[k]]!r}, expected {elems[k + oa]!r}"
+                )
+        return RegularPermutations(oa, ob, *perms)
+
+    @cached_property
+    def commuting_masks(self) -> tuple[int, ...]:
+        """Bit y of entry x is set iff elements x and y commute.
+
+        Walks x = a^i b^j in index order with L_x = L_a^i o L_b^j and
+        R_x = R_b^j o R_a^i, each one composition from the previous element,
+        and compares them at C level: bit y is L_x[y] == R_x[y].  Memory
+        beyond the masks is a few permutations, never a Cayley table.
+        """
+        reg = self.regular
+        # itemgetter(*g)(f) is f o g, the permutation f applied after g
+        after_left_b = itemgetter(*reg.left_b)
+        after_right_a = itemgetter(*reg.right_a)
+        after_right_b = itemgetter(*reg.right_b)
+        masks = []
+        left_bj = right_bj = tuple(range(self.order))
+        for _ in range(reg.b_order):
+            left, right = left_bj, right_bj
+            for i in range(reg.a_order):
+                if i:
+                    left, right = itemgetter(*left)(reg.left_a), after_right_a(right)
+                bits = bytes(map(eq, left, right)).translate(_DIGITS)
+                masks.append(int(bits[::-1], 2))
+            left_bj, right_bj = after_left_b(left_bj), after_right_b(right_bj)
         return tuple(masks)
 
 
@@ -82,16 +163,18 @@ def enumerate_elements(spec: GroupSpec) -> FiniteGroup:
 
 
 def center(group: FiniteGroup) -> set[GroupElement]:
-    """Elements commuting with both generators a = a^1 b^0 and b = a^0 b^1.
+    """Elements commuting with both generators a and b, which generate the group.
 
-    Every `FiniteGroup` comes from `enumerate_elements` over the normal forms
-    a^i b^j, so a and b generate it, and an element is central iff it commutes
-    with both of them.
+    Read from the regular representation: x is central iff a*x == x*a and
+    b*x == x*b, that is, L_a[x] == R_a[x] and L_b[x] == R_b[x].
     """
-    mult = group.mult
-    gens = (GroupElement(1, 0), GroupElement(0, 1))
+    reg = group.regular
     return {
-        x for x in group.elements if all(mult(x, g) == mult(g, x) for g in gens)
+        x
+        for x, la, ra, lb, rb in zip(
+            group.elements, reg.left_a, reg.right_a, reg.left_b, reg.right_b
+        )
+        if la == ra and lb == rb
     }
 
 

@@ -1,11 +1,12 @@
 """The commutation-mask paths against the brute-force implementations they replaced.
 
-The references below multiply pair by pair: the centre by a full scan, the CA
-check by testing every pair of every centralizer, the graph by comparing both
-products of every ordered pair, and the distances by a deque BFS.  The
-partition is certified by a BFS over the complement plus a check of every pair
-inside and across its components.  The references read the graph's
-neighbour masks one bit at a time.
+The references below multiply pair by pair: the commutation masks by both
+products of every unordered pair, the centre by a full scan, the CA check by
+testing every pair of every centralizer, the graph by comparing both products
+of every ordered pair, and the distances by a deque BFS.  The partition is
+certified by a BFS over the complement plus a check of every pair inside and
+across its components.  The references read the graph's neighbour masks one
+bit at a time.
 """
 
 import itertools
@@ -45,6 +46,19 @@ LARGE_SPECS = [
     GroupSpec.metacyclic(9, 9),
     GroupSpec.metacyclic(12, 7),
 ]
+
+
+def reference_commuting_masks(group):
+    mult = group.mult
+    elems = group.elements
+    masks = [1 << i for i in range(len(elems))]
+    for i, x in enumerate(elems):
+        for j in range(i + 1, len(elems)):
+            y = elems[j]
+            if mult(x, y) == mult(y, x):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
 
 
 def reference_center(group):
@@ -161,6 +175,7 @@ def reference_partition_structure(graph):
 )
 def test_mask_paths_equal_references(spec):
     group = enumerate_elements(spec)
+    assert group.commuting_masks == reference_commuting_masks(group)
     assert center(group) == reference_center(group)
     for x in group.elements:
         assert centralizer(group, x) == reference_centralizer(group, x)
@@ -187,9 +202,8 @@ def test_masks_symmetric_and_match_mult(spec):
     assert all(m >> group.order == 0 for m in masks)
 
 
-def test_non_ca_group_detected():
-    # S_4 is not a CA group: (01)(23) is not central and its centralizer is
-    # a dihedral group of order 8.
+def symmetric_group_4():
+    """S_4 as 24 elements a^i b^0, which are not normal forms of a and b."""
     perms = sorted(itertools.permutations(range(4)))
     index = {p: i for i, p in enumerate(perms)}
 
@@ -198,9 +212,129 @@ def test_non_ca_group_detected():
         return GroupElement(index[tuple(p[q[k]] for k in range(4))], 0)
 
     elems = tuple(GroupElement(i, 0) for i in range(len(perms)))
-    s4 = FiniteGroup(GroupSpec.u6n(4), elems, mult)
+    return FiniteGroup(GroupSpec.u6n(4), elems, mult)
+
+
+def split_metacyclic(m, r, k, spec=GroupSpec.metacyclic(3, 1)):
+    """Z_m x|_r Z_k as the normal forms a^i b^j, with b a b^-1 = a^r.
+
+    (i, j) * (k', l) = (i + r^j k', j + l); requires r^k = 1 (mod m).
+    """
+    assert pow(r, k, m) == 1 % m
+
+    def mult(x, y):
+        i, j = x
+        kk, l = y
+        return GroupElement((i + pow(r, j, m) * kk) % m, (j + l) % k)
+
+    elems = tuple(GroupElement(i, j) for j in range(k) for i in range(m))
+    # the spec only labels the group; the elements and mult define it
+    return FiniteGroup(spec, elems, mult)
+
+
+def test_non_ca_group_detected():
+    # S_4 is not a CA group: (01)(23) is not central and its centralizer is
+    # a dihedral group of order 8.  Its elements break the normal-form
+    # contract, so the masks are preset from the pairwise reference.
+    s4 = symmetric_group_4()
+    s4.__dict__["commuting_masks"] = reference_commuting_masks(s4)
     assert not is_ca_group(s4)
     assert not reference_is_ca_group(s4)
+    # Z_9 x|_2 Z_6 is not a CA group either: the centralizer of b^2 holds a^3
+    # and b, which do not commute.  Its masks come from the regular
+    # representation.
+    z9z6 = split_metacyclic(9, 2, 6, GroupSpec.metacyclic(9, 3))
+    assert not is_ca_group(z9z6)
+    assert not reference_is_ca_group(z9z6)
+
+
+def test_out_of_contract_group_raises():
+    # a * a = e in S_4 when a is the transposition listed second
+    with pytest.raises(ValueError, match=r"^a \* a1b0 is a0b0, expected a2b0$"):
+        is_ca_group(symmetric_group_4())
+
+
+@pytest.mark.parametrize(
+    "elems, message",
+    [
+        ((), "^a group has at least one element$"),
+        (((0, 0), (2, 0), (1, 0)), "^element 1 is a2b0, expected a1b0 of the 3 x 1"),
+        (((0, 0), (1, 0), (0, 1)), "^element 3 is missing, expected a1b1 of the 2 x 2"),
+        (((0, 0), (1, 0), (0, 0)), "^element 2 is a0b0, past the end of the 2 x 1"),
+        (((1, 0), (0, 0)), "^element 0 is a1b0, expected a0b0 of the 2 x 1"),
+    ],
+)
+def test_grid_contract_names_first_breaking_element(elems, message):
+    elems = tuple(GroupElement(*e) for e in elems)
+    group = FiniteGroup(GroupSpec.u6n(1), elems, lambda x, y: x)
+    with pytest.raises(ValueError, match=message):
+        group.commuting_masks
+
+
+def test_right_b_contract_names_first_breaking_element():
+    # Z_2 x Z_3 with b listed as if it had order 3 but multiplied as order 1
+    def mult(x, y):
+        return GroupElement((x.a_exp + y.a_exp) % 2, x.b_exp)
+
+    elems = tuple(GroupElement(i, j) for j in range(3) for i in range(2))
+    group = FiniteGroup(GroupSpec.u6n(1), elems, mult)
+    with pytest.raises(ValueError, match=r"^a0b0 \* b is a0b0, expected a0b1$"):
+        center(group)
+
+
+def test_product_outside_the_elements_raises():
+    def mult(x, y):
+        return GroupElement(x.a_exp + y.a_exp, 0)
+
+    elems = tuple(GroupElement(i, 0) for i in range(5))
+    group = FiniteGroup(GroupSpec.u6n(1), elems, mult)
+    with pytest.raises(ValueError, match="^product a5b0 is not an element$"):
+        center(group)
+
+
+def test_masks_equal_pairwise_reference_at_qd_512():
+    group = enumerate_elements(GroupSpec.qd(9))
+    assert group.commuting_masks == reference_commuting_masks(group)
+
+
+@st.composite
+def split_metacyclic_groups(draw):
+    m = draw(st.integers(1, 18))
+    k = draw(st.integers(1, 10))
+    # r^k = 1 (mod m) makes a -> a^r an automorphism whose order divides k
+    units = [r for r in range(m) if pow(r, k, m) == 1 % m]
+    return split_metacyclic(m, draw(st.sampled_from(units)), k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_metacyclic_groups())
+@example(split_metacyclic(9, 2, 6))
+@example(split_metacyclic(1, 0, 1))
+@example(split_metacyclic(1, 0, 5))
+@example(split_metacyclic(7, 1, 1))
+def test_regular_masks_equal_reference_on_split_metacyclic(group):
+    assert group.commuting_masks == reference_commuting_masks(group)
+    assert center(group) == reference_center(group)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    default_grid()[::7] + LARGE_SPECS,
+    ids=lambda s: s.label(),
+)
+def test_masks_and_center_take_at_most_4g_products(spec):
+    group = enumerate_elements(spec)
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return group.mult(x, y)
+
+    counted = FiniteGroup(spec, group.elements, counting)
+    assert counted.commuting_masks == group.commuting_masks
+    assert center(counted) == center(group)
+    assert calls <= 4 * group.order
 
 
 @st.composite

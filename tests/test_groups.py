@@ -1,4 +1,4 @@
-import itertools
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +16,6 @@ from ncgspectra import (
 )
 
 E = GroupElement
-
-
-def inverse(g, x):
-    """The inverse of x, by linear search."""
-    (inv,) = [y for y in g.elements if g.mult(x, y) == g.identity]
-    return inv
 
 
 def element_order(g, x):
@@ -100,19 +94,25 @@ GROUP_AXIOM_SPECS = [
 def test_group_axioms_full(spec):
     g = enumerate_elements(spec)
     elems = g.elements
-    universe = set(elems)
-    assert len(universe) == spec.order
-    # closure and associativity over all pairs/triples
+    index = {x: i for i, x in enumerate(elems)}
+    n = len(index)
+    assert n == spec.order
+    # closure over all pairs, while filling the Cayley table with |G|^2 products
+    table = []
     for x in elems:
-        for y in elems:
-            assert g.mult(x, y) in universe
-    for x, y, z in itertools.product(elems, repeat=3):
-        assert g.mult(g.mult(x, y), z) == g.mult(x, g.mult(y, z))
-    e = g.identity
-    for x in elems:
-        assert g.mult(e, x) == x == g.mult(x, e)
-        inv = inverse(g, x)
-        assert g.mult(x, inv) == e == g.mult(inv, x)
+        row = [g.mult(x, y) for y in elems]
+        assert all(p in index for p in row)
+        table.append(tuple(index[p] for p in row))
+    # associativity over all triples: row (xy) of the table equals row x read
+    # through row y, that is (xy)z == x(yz) for every z
+    for x in range(n):
+        for y in range(n):
+            assert table[table[x][y]] == itemgetter(*table[y])(table[x])
+    e = index[g.identity]
+    for x in range(n):
+        assert table[e][x] == x == table[x][e]
+        (inv,) = [y for y in range(n) if table[x][y] == e]
+        assert table[x][inv] == e == table[inv][x]
 
 
 @pytest.mark.parametrize("spec", GROUP_AXIOM_SPECS, ids=lambda s: s.label())

@@ -4,11 +4,11 @@ All big integers are serialized as decimal strings in JSON so that 64-bit
 consumers never lose precision; characteristic polynomial coefficients exceed
 2^63 almost immediately.  Exit codes: 0 success (verify: all matched), 1
 verification mismatch found, 2 usage error.  An exception that escapes a
-command maps to an exit code with one line on stderr: InvalidParameters and
-the oracle's limits, OrderCapExceeded and ArithmeticError (a char-poly
-coefficient bound beyond the prime table), print "error: ..." and exit 2;
-NotCompleteMultipartite prints "structural violation: ..." and exits 1.
-Any other exception is a programming error and propagates.
+command maps to an exit code with one line on stderr: InvalidParameters,
+OrderCapExceeded (the oracle's cap, also on a closed-form --charpoly) and
+ArithmeticError (a char-poly coefficient bound beyond the prime table) print
+"error: ..." and exit 2; NotCompleteMultipartite prints "structural violation:
+..." and exits 1.  Any other exception is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .families import (
     InvalidParameters,
     MatrixKind,
 )
-from .graphs import NotCompleteMultipartite, OrderCapExceeded
+from .graphs import NotCompleteMultipartite, OrderCapExceeded, check_order_cap
 from .verify import (
     DEFAULT_ORDER_CAP,
     IntegralityRecord,
@@ -201,19 +201,20 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "order": closed.order,
         "method": args.method,
     }
-    include_poly = args.charpoly
+    poly = None
     if args.method == "closed":
         record["spectrum"] = _spectrum_entries(closed)
-        poly = spectrum_to_polynomial(closed)
+        if args.charpoly:
+            check_order_cap(spec, closed.order, args.order_cap)
+            poly = spectrum_to_polynomial(closed)
     else:
         report = verify_instance(spec, kind, args.order_cap)
-        poly = report.oracle_poly
         if report.matched:
             record["spectrum"] = _spectrum_entries(closed)
-        else:
-            include_poly = True
+        if args.charpoly or not report.matched:
+            poly = report.oracle_poly
     record["integral"] = closed.is_integral
-    if include_poly:
+    if poly is not None:
         record["charpoly"] = [str(c) for c in poly.coeffs]
     _write(
         args, [record], _spectrum_text,

@@ -2,8 +2,8 @@
 
 The stated closed forms are transcribed in `ncgspectra.families`, one record
 per family; this module normalizes them into canonical spectra, expands them
-into polynomials, and builds explicit eigenvector families for Q_4n.  The
-verifier, not this module, arbitrates each claim against the oracle.
+into polynomials, and checks the record's Q_4n D^L and D^Q spectra with
+explicit eigenvectors.  The verifier arbitrates each claim against the oracle.
 
 Conjugate surd eigenvalue pairs are stored as monic integer quadratics by
 (sum, product), never as floating radicals.  Whenever such a pair has a
@@ -20,9 +20,10 @@ from .exactalg import (
     IntPolynomial,
     POLY_ONE,
     QuadraticEig,
+    products_but_one,
     rational_roots_of_quadratic,
 )
-from .families import EigDesc, GroupSpec, MatrixKind, scaled_root_pair
+from .families import EigDesc, GroupSpec, MatrixKind
 from .graphs import PartitionStructure, oracle
 
 
@@ -120,20 +121,12 @@ def multipartite_distance_charpoly(
         sizes = tuple(int(s) for s in partition)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
-    total = sum(sizes)
-    k = len(sizes)
     linear = [IntPolynomial((2 - s, 1)) for s in sizes]
-    prefix = [POLY_ONE]
-    for lin in linear:
-        prefix.append(prefix[-1] * lin)
-    suffix = [POLY_ONE]
-    for lin in reversed(linear):
-        suffix.append(suffix[-1] * lin)
-    suffix.reverse()
-    bracket = prefix[k]
-    for i, size in enumerate(sizes):
-        bracket = bracket - size * (prefix[i] * suffix[i + 1])
-    return IntPolynomial((2, 1)) ** (total - k) * bracket
+    others = products_but_one(linear)
+    bracket = linear[0] * others[0]
+    for size, other in zip(sizes, others):
+        bracket = bracket - size * other
+    return IntPolynomial((2, 1)) ** (sum(sizes) - len(sizes)) * bracket
 
 
 def spectrum_for(spec: GroupSpec, kind: MatrixKind) -> SpectrumSpec:
@@ -181,95 +174,90 @@ class EigenbasisResult:
         return sum(len(f.vectors) for f in self.families)
 
 
-def _basis_vector(length: int, assignments: dict[int, int]) -> tuple[int, ...]:
-    v = [0] * length
-    for idx, val in assignments.items():
-        v[idx] = val
+# The vector family realizing each entry of the stated D^L or D^Q closed form.
+_Q4N_FAMILIES = {
+    MatrixKind.DISTANCE_LAPLACIAN: (
+        "all-ones", "big-part-vs-one-small-part",
+        "small-part-difference", "big-part-difference",
+    ),
+    MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN: (
+        "small-part-difference", "big-part-difference",
+        "small-part-vs-small-part", "scaled-constant",
+    ),
+}
+
+
+def _on_blocks(order: int, *blocks: tuple[Sequence[int], int]) -> tuple[int, ...]:
+    """The vector holding each block's value on its indices and 0 elsewhere."""
+    v = [0] * order
+    for indices, value in blocks:
+        for i in indices:
+            v[i] = value
     return tuple(v)
+
+
+def _differences(order: int, parts: Sequence[Sequence[int]]) -> tuple:
+    """e_i - e_first for every index i after the first of each part."""
+    return tuple(
+        _on_blocks(order, (p[:1], -1), ((i,), 1)) for p in parts for i in p[1:]
+    )
 
 
 def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     """Explicit integer eigenvectors for D^L or D^Q of the graph of Q_4n.
 
-    Vertices are in part-major order: the 2n-2 cyclic-part vertices first,
-    then n parts of size 2.  Every returned vector v is verified exactly
-    against the actual matrix: M v = eigenvalue * v.
+    The vectors check the spectrum stated in the family record: entry i of
+    its raw closed form is realized by the i-th family of `_Q4N_FAMILIES`.
+    The D^Q pair's integer roots, ascending, go with the ascending roots t of
+    `t_quadratic`, each by the vector t on the big part and 1 elsewhere,
+    cleared of denominators; a pair without integer roots is reported as
+    `irrational_pair`.  Vertices are in the certified part-major order.  A
+    vector failing M v = eigenvalue * v on the actual matrix, or a family
+    whose vector count is not its stated multiplicity, raises ArithmeticError.
     """
     if kind == MatrixKind.DISTANCE:
         raise ValueError("eigenbasis is available for dl and dq only")
     spec = GroupSpec.q4n(n)
-    matrix = oracle(spec, kind).matrix
-    order = matrix.n
-    big = claimed_partition_sizes(spec)[0]
-
-    def small(p: int) -> int:
-        return big + 2 * p
-
-    small_diff = tuple(
-        _basis_vector(order, {small(p): -1, small(p) + 1: 1}) for p in range(n)
-    )
-    big_diff = tuple(_basis_vector(order, {0: -1, i: 1}) for i in range(1, big))
+    staged = oracle(spec, kind)
+    order = staged.matrix.n
+    big, *small = staged.partition.classes
+    shapes = {
+        "all-ones": lambda: (_on_blocks(order, (range(order), 1)),),
+        "big-part-vs-one-small-part": lambda: tuple(
+            _on_blocks(order, (big, -1), (p, len(big) // len(p))) for p in small
+        ),
+        "small-part-difference": lambda: _differences(order, small),
+        "big-part-difference": lambda: _differences(order, [big]),
+        "small-part-vs-small-part": lambda: tuple(
+            _on_blocks(order, (small[0], -1), (p, 1)) for p in small[1:]
+        ),
+    }
+    stated: list[tuple[EigenFamily, int]] = []
     irrational: QuadraticEig | None = None
-    if kind == MatrixKind.DISTANCE_LAPLACIAN:
-        families = [
-            EigenFamily(0, "all-ones", (tuple([1] * order),)),
-            EigenFamily(
-                4 * n - 2,
-                "big-part-vs-one-small-part",
-                tuple(
-                    tuple(
-                        [-1] * big
-                        + [n - 1 if q == p else 0 for q in range(n) for _ in range(2)]
-                    )
-                    for p in range(n)
-                ),
-            ),
-            EigenFamily(4 * n, "small-part-difference", small_diff),
-            EigenFamily(6 * n - 4, "big-part-difference", big_diff),
-        ]
-    else:
-        families = [
-            EigenFamily(4 * n - 4, "small-part-difference", small_diff),
-            EigenFamily(6 * n - 8, "big-part-difference", big_diff),
-            EigenFamily(
-                4 * n - 2,
-                "small-part-vs-small-part",
-                tuple(
-                    _basis_vector(
-                        order,
-                        {
-                            small(0): -1,
-                            small(0) + 1: -1,
-                            small(p): 1,
-                            small(p) + 1: 1,
-                        },
-                    )
-                    for p in range(1, n)
-                ),
-            ),
-        ]
-        tquad = spec.record.t_quadratic(n, None)
-        roots = rational_roots_of_quadratic(*tquad)
-        if roots is None:
-            irrational = scaled_root_pair(tquad, 2 * n - 2, 6 * n - 2)
+    entries = spec.record.closed_forms[kind](n, None)
+    for (desc, mult), label in zip(entries, _Q4N_FAMILIES[kind], strict=True):
+        if not isinstance(desc, QuadraticEig):
+            stated.append((EigenFamily(desc, label, shapes[label]()), mult))
+        elif desc.integer_roots() is None:
+            irrational = desc
         else:
-            for t in roots:
-                num, den = t.numerator, t.denominator
-                mu_num = (2 * n - 2) * num + (6 * n - 2) * den
-                if mu_num % den:
-                    raise ArithmeticError("scaled-constant eigenvalue not integral")
-                vec = tuple([num] * big + [den] * (2 * n))
-                families.append(
-                    EigenFamily(mu_num // den, "scaled-constant", (vec,))
-                )
-
-    for family in families:
+            ts = rational_roots_of_quadratic(*spec.record.t_quadratic(n, None))
+            if ts is None:
+                raise ArithmeticError(f"stated pair {desc} is integral, t is not")
+            rest = range(len(big), order)
+            for mu, t in zip(desc.integer_roots(), ts):
+                vec = _on_blocks(order, (big, t.numerator), (rest, t.denominator))
+                stated.append((EigenFamily(mu, label, (vec,)), mult))
+    for family, mult in stated:
+        if len(family.vectors) != mult:
+            raise ArithmeticError(
+                f"{family.label} has {len(family.vectors)} vectors, stated "
+                f"multiplicity {mult}, for {kind} at n={n}"
+            )
         for vec in family.vectors:
-            image = matrix.mat_vec(vec)
-            expect = tuple(family.eigenvalue * x for x in vec)
-            if image != expect:
+            if staged.matrix.mat_vec(vec) != tuple(family.eigenvalue * x for x in vec):
                 raise ArithmeticError(
                     f"vector {vec} fails M v = {family.eigenvalue} v "
                     f"for {kind} at n={n}"
                 )
-    return EigenbasisResult(kind, n, tuple(families), irrational)
+    return EigenbasisResult(kind, n, tuple(f for f, _ in stated), irrational)

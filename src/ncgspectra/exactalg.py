@@ -286,6 +286,19 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     return IntPolynomial(v - p if v > half else v for v in polys[n])
 
 
+def products_but_one(factors: Sequence[IntPolynomial]) -> list[IntPolynomial]:
+    """For each i, the product of every factor but factors[i], by prefix and suffix."""
+    prefix = [POLY_ONE]
+    for f in factors[:-1]:
+        prefix.append(prefix[-1] * f)
+    out = []
+    suffix = POLY_ONE
+    for i in reversed(range(len(factors))):
+        out.append(prefix[i] * suffix)
+        suffix = suffix * factors[i]
+    return out[::-1]
+
+
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free Gaussian elimination."""
     n = len(rows)
@@ -338,21 +351,13 @@ def char_poly_interpolation(matrix: IntMatrix) -> IntPolynomial:
             for i in range(n)
         ]
         values.append(bareiss_determinant(shifted))
-    linear = [IntPolynomial.x_minus(p) for p in points]
-    prefix = [POLY_ONE]
-    for lin in linear:
-        prefix.append(prefix[-1] * lin)
-    suffix = [POLY_ONE]
-    for lin in reversed(linear):
-        suffix.append(suffix[-1] * lin)
-    suffix.reverse()
     total = IntPolynomial()
-    for i in range(n + 1):
+    others = products_but_one([IntPolynomial.x_minus(p) for p in points])
+    for i, other in enumerate(others):
         weight = values[i] * math.comb(n, i)
         if (n - i) % 2:
             weight = -weight
-        if weight:
-            total = total + weight * (prefix[i] * suffix[i + 1])
+        total = total + weight * other
     fact = math.factorial(n)
     out = []
     for c in total.coeffs:

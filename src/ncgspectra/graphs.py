@@ -207,6 +207,14 @@ class Oracle(NamedTuple):
     matrix: IntMatrix
 
 
+def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
+    """Refuse a graph of the given order above the cap (None for no cap)."""
+    if order_cap is not None and order > order_cap:
+        raise OrderCapExceeded(
+            f"{spec.label()} graph order {order} exceeds cap {order_cap}"
+        )
+
+
 def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> Oracle:
     """Group -> order-cap check -> graph -> certified part-major graph -> matrix.
 
@@ -220,10 +228,6 @@ def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> O
             f"{spec.label()} graph order at least 3|G|/4 exceeds cap {order_cap}"
         )
     group = enumerate_elements(spec)
-    order = group.order - len(center(group))
-    if order_cap is not None and order > order_cap:
-        raise OrderCapExceeded(
-            f"{spec.label()} graph order {order} exceeds cap {order_cap}"
-        )
+    check_order_cap(spec, group.order - len(center(group)), order_cap)
     graph, partition = part_major(non_commuting_graph(group))
     return Oracle(graph, partition, matrix_of_kind(distance_matrix(graph), kind))

@@ -316,3 +316,48 @@ def test_spectrum_oracle_char_poly_limit_is_an_error_not_a_traceback(capsys, mon
     assert code == 2
     assert out == ""
     assert err == "error: coefficient bound beyond the Mersenne prime table\n"
+
+
+def test_closed_spectrum_expands_the_charpoly_only_when_printed(capsys, monkeypatch):
+    from ncgspectra import cli
+
+    calls = []
+    expand = cli.spectrum_to_polynomial
+    monkeypatch.setattr(
+        cli, "spectrum_to_polynomial", lambda s: calls.append(s) or expand(s)
+    )
+    args = ["spectrum", "--group", "q4n", "--n", "3", "--matrix", "d"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and "charpoly" not in out
+    assert calls == []
+    code, out, _ = run(capsys, *args, "--charpoly")
+    assert code == 0 and "charpoly (ascending)" in out
+    assert len(calls) == 1
+
+
+def test_closed_charpoly_refused_over_order_cap(capsys, monkeypatch):
+    from ncgspectra import cli
+
+    def fail(*_):
+        raise AssertionError("expanded a polynomial past the cap")
+
+    monkeypatch.setattr(cli, "spectrum_to_polynomial", fail)
+    code, out, err = run(
+        capsys, "spectrum", "--group", "qd", "--n", "40", "--matrix", "d",
+        "--charpoly",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: QD_1099511627776 graph order 1099511627774 exceeds cap 150\n"
+    )
+
+
+def test_closed_charpoly_runs_under_a_raised_order_cap(capsys):
+    args = ["spectrum", "--group", "q4n", "--n", "50", "--matrix", "d", "--charpoly",
+            "--format", "json"]
+    code, _, err = run(capsys, *args)
+    assert code == 2 and err == "error: Q_200 graph order 198 exceeds cap 150\n"
+    code, out, _ = run(capsys, *args, "--order-cap", "198")
+    assert code == 0
+    record = json.loads(out)
+    assert record["order"] == 198 and len(record["charpoly"]) == 199

@@ -24,6 +24,7 @@ from ncgspectra import (
     spectrum_for,
     spectrum_to_polynomial,
 )
+from ncgspectra.families import Q4N_FAMILY
 
 D = MatrixKind.DISTANCE
 DL = MatrixKind.DISTANCE_LAPLACIAN
@@ -355,6 +356,21 @@ class TestEigenbasis:
                         assert matrix.mat_vec(vec) == tuple(
                             fam.eigenvalue * x for x in vec
                         )
+
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda n, m: [(0, 1), (4 * n + 1, n), (4 * n, n), (6 * n - 4, 2 * n - 3)],
+            lambda n, m: [(0, 1), (4 * n - 2, n + 1), (4 * n, n), (6 * n - 4, 2 * n - 3)],
+        ],
+        ids=["eigenvalue", "multiplicity"],
+    )
+    def test_wrong_stated_spectrum_raises(self, monkeypatch, wrong):
+        monkeypatch.setitem(Q4N_FAMILY.closed_forms, DL, wrong)
+        for n in (2, 3, 5):
+            with pytest.raises(ArithmeticError):
+                eigenbasis_q4n(DL, n)
 
 
 class TestClaimedPartitions:

@@ -1,22 +1,30 @@
-"""The single owners of the matrix kinds and the even-m reduction against the copies they replaced.
+"""The single owners of the matrix kinds, the even-m reduction and the Q_4n eigenbasis against the copies they replaced.
 
 D^L and D^Q were built by one helper that put the transmissions (row sums of
 D) on the diagonal and added sign times D; the even-m M_2mn parts, D and D^L
 forms each moved (n, m) to (2n, m/2) inline before evaluating the odd-m
-formula.  Those copies are kept here as references.
+formula; the Q_4n eigenvectors restated their eigenvalues, the D^Q scale and
+offset and the part size 2 as literals instead of reading the family record.
+Those copies are kept here as references.
 """
 
 import pytest
 
 from ncgspectra import (
     ALL_KINDS,
+    EigenbasisResult,
+    EigenFamily,
+    GroupSpec,
     IntMatrix,
     QuadraticEig,
+    claimed_partition_sizes,
     default_grid,
+    eigenbasis_q4n,
     matrix_of_kind,
     oracle,
+    rational_roots_of_quadratic,
 )
-from ncgspectra.families import METACYCLIC_FAMILY
+from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
 
 from test_commutation import LARGE_SPECS
 
@@ -84,3 +92,82 @@ def test_even_m_reduction_equals_inline_copies(m):
         assert METACYCLIC_FAMILY.parts(n, m) == reference_metacyclic_parts(n, m)
         assert forms[D](n, m) == reference_metacyclic_d(n, m)
         assert forms[DL](n, m) == reference_metacyclic_dl(n, m)
+
+
+def _basis_vector(length, assignments):
+    v = [0] * length
+    for idx, val in assignments.items():
+        v[idx] = val
+    return tuple(v)
+
+
+def reference_eigenbasis_q4n(kind, n):
+    spec = GroupSpec.q4n(n)
+    matrix = oracle(spec, kind).matrix
+    order = matrix.n
+    big = claimed_partition_sizes(spec)[0]
+
+    def small(p):
+        return big + 2 * p
+
+    small_diff = tuple(
+        _basis_vector(order, {small(p): -1, small(p) + 1: 1}) for p in range(n)
+    )
+    big_diff = tuple(_basis_vector(order, {0: -1, i: 1}) for i in range(1, big))
+    irrational = None
+    if kind == DL:
+        families = [
+            EigenFamily(0, "all-ones", (tuple([1] * order),)),
+            EigenFamily(
+                4 * n - 2,
+                "big-part-vs-one-small-part",
+                tuple(
+                    tuple(
+                        [-1] * big
+                        + [n - 1 if q == p else 0 for q in range(n) for _ in range(2)]
+                    )
+                    for p in range(n)
+                ),
+            ),
+            EigenFamily(4 * n, "small-part-difference", small_diff),
+            EigenFamily(6 * n - 4, "big-part-difference", big_diff),
+        ]
+    else:
+        families = [
+            EigenFamily(4 * n - 4, "small-part-difference", small_diff),
+            EigenFamily(6 * n - 8, "big-part-difference", big_diff),
+            EigenFamily(
+                4 * n - 2,
+                "small-part-vs-small-part",
+                tuple(
+                    _basis_vector(
+                        order,
+                        {small(0): -1, small(0) + 1: -1, small(p): 1, small(p) + 1: 1},
+                    )
+                    for p in range(1, n)
+                ),
+            ),
+        ]
+        tquad = spec.record.t_quadratic(n, None)
+        roots = rational_roots_of_quadratic(*tquad)
+        if roots is None:
+            irrational = scaled_root_pair(tquad, 2 * n - 2, 6 * n - 2)
+        else:
+            for t in roots:
+                num, den = t.numerator, t.denominator
+                mu_num = (2 * n - 2) * num + (6 * n - 2) * den
+                if mu_num % den:
+                    raise ArithmeticError("scaled-constant eigenvalue not integral")
+                vec = tuple([num] * big + [den] * (2 * n))
+                families.append(EigenFamily(mu_num // den, "scaled-constant", (vec,)))
+    for family in families:
+        for vec in family.vectors:
+            if matrix.mat_vec(vec) != tuple(family.eigenvalue * x for x in vec):
+                raise ArithmeticError(f"vector {vec} fails M v = {family.eigenvalue} v")
+    return EigenbasisResult(kind, n, tuple(families), irrational)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_eigenbasis_reads_the_record_like_the_literal_copy(n):
+    for kind in (DL, DQ):
+        assert eigenbasis_q4n(kind, n) == reference_eigenbasis_q4n(kind, n)

@@ -250,7 +250,8 @@ def _verify_text(records: list[dict]) -> list[str]:
         params = rec["params"]
         label = FAMILY_RECORDS[rec["family"]].label(params["n"], params.get("m"))
         tag = "ERROR" if rec.get("error") else "ok" if rec["matched"] else "MISMATCH"
-        lines.append(f"[{tag}] {label} matrix={rec['matrix']} order={rec['order']}")
+        order = "?" if rec["order"] is None else rec["order"]
+        lines.append(f"[{tag}] {label} matrix={rec['matrix']} order={order}")
         if rec.get("error"):
             lines.append(f"    {rec['error']}")
         elif not rec["matched"]:

@@ -14,6 +14,8 @@ pair with a square discriminant ever appears in output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactalg import (
@@ -255,7 +257,8 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
                 f"multiplicity {mult}, for {kind} at n={n}"
             )
         for vec in family.vectors:
-            if staged.matrix.mat_vec(vec) != tuple(family.eigenvalue * x for x in vec):
+            expected = tuple(map(mul, vec, repeat(family.eigenvalue)))
+            if staged.matrix.mat_vec(vec) != expected:
                 raise ArithmeticError(
                     f"vector {vec} fails M v = {family.eigenvalue} v "
                     f"for {kind} at n={n}"

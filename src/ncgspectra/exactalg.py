@@ -18,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -51,11 +54,34 @@ class IntMatrix:
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The transpose's rows, built once per matrix on first use.
+
+        Not a dataclass field: equality, hashing and repr see only `rows`.
+        """
+        return tuple(zip(*self.rows))
+
     def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
+        """M v, exactly, from the columns grouped by v's nonzero values.
+
+        The columns selected by each distinct value are summed entrywise, then
+        scaled by the value and accumulated, all at C level.
+        """
         if len(v) != self.n:
             raise ValueError("vector length must equal matrix order")
-        support = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum(row[j] * x for j, x in support) for row in self.rows)
+        by_value: dict[int, list[int]] = {}
+        for j in compress(range(self.n), v):
+            by_value.setdefault(v[j], []).append(j)
+        columns = self.columns
+        out = (0,) * self.n
+        for x, js in by_value.items():
+            if len(js) == 1:
+                summed = columns[js[0]]
+            else:
+                summed = map(sum, zip(*itemgetter(*js)(columns)))
+            out = tuple(map(add, out, map(mul, summed, repeat(x))))
+        return out
 
 
 class IntPolynomial:

@@ -6,14 +6,17 @@ is an equivalence relation, which certification checks on the masks.
 
 The distance matrix is always computed by breadth-first search, even though
 the graphs at hand provably have diameter 2; this keeps the oracle honest and
-family-agnostic.
+family-agnostic.  Each source's BFS levels are collected as bit-planes (plane k
+holds the vertices whose distance has bit k set), and the row is unpacked from
+the planes at C level, so no distance is written one vertex at a time.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactalg import IntMatrix
@@ -34,7 +37,15 @@ class DisconnectedGraph(ValueError):
 
 
 class OrderCapExceeded(ValueError):
-    """Graph order exceeds the configured verification cap."""
+    """Graph order exceeds the configured verification cap.
+
+    `order` is the graph order refused, or None when the group was refused
+    from its parameters, unenumerated, so its graph order was never computed.
+    """
+
+    def __init__(self, message: str, order: int | None = None) -> None:
+        super().__init__(message)
+        self.order = order
 
 
 def select_bits(masks: Iterable[int], indices: Sequence[int]) -> tuple[int, ...]:
@@ -154,18 +165,34 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     return reordered, replace(partition, classes=blocks)
 
 
+# '0'/'1' characters to the byte values 0/1: one binary digit per byte field.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def distance_matrix(graph: NCGraph) -> IntMatrix:
     """All-pairs shortest path lengths by BFS from every vertex.
 
     The search is level-synchronous over neighbour bitmasks: the next level
     is the union of the frontier's neighbours minus the vertices already seen.
+    Each level's mask is ORed into bit-planes, plane k holding the vertices
+    whose distance has bit k set.  A plane's binary string becomes one byte
+    per vertex (`bytes.translate`), widened into the low byte of a wider field
+    when one byte cannot hold n - 1; the planes, shifted by k, are ORed into
+    one integer of n fields, vertex i in field i, which one `struct` unpack
+    turns into the row.
     """
     n = graph.order
     everything = (1 << n) - 1
     neighbors = graph.neighbors
+    # the narrowest unsigned field that holds every level up to n - 1
+    code = next(c for c in "BHIQ" if n <= 1 << 8 * struct.calcsize("<" + c))
+    width = struct.calcsize("<" + code)
+    unpack = struct.Struct(f"<{n}{code}").unpack
+    fmt = f"0{n}b"
+    fields_of = bytearray(n * width)
     rows = []
     for src in range(n):
-        dist = [0] * n
+        planes: list[int] = []
         seen = frontier = 1 << src
         level = 0
         while frontier and seen != everything:
@@ -178,25 +205,41 @@ def distance_matrix(graph: NCGraph) -> IntMatrix:
                     break
             frontier = reach
             seen |= reach
-            for v in bit_indices(reach):
-                dist[v] = level
+            if level.bit_length() > len(planes):
+                planes.append(0)
+            for k in bit_indices(level):
+                planes[k] |= reach
         if seen != everything:
             missing = everything & ~seen
             far = (missing & -missing).bit_length() - 1
             raise DisconnectedGraph(f"vertex {far} unreachable from vertex {src}")
-        rows.append(tuple(dist))
+        row = 0
+        for k, plane in enumerate(planes):
+            # vertex n - 1's digit first, so vertex i lands in field i
+            digits = format(plane, fmt).encode().translate(_DIGIT_BYTES)
+            if width > 1:
+                fields_of[width - 1::width] = digits
+                digits = fields_of
+            row |= int.from_bytes(digits, "big") << k
+        rows.append(unpack(row.to_bytes(n * width, "little")))
     return IntMatrix(tuple(rows))
 
 
 def matrix_of_kind(dist: IntMatrix, kind: MatrixKind) -> IntMatrix:
-    """D as is; D^L = Tr - D and D^Q = Tr + D, Tr the diagonal of row sums."""
+    """D as is; D^L = Tr - D and D^Q = Tr + D, Tr the diagonal of row sums.
+
+    Each row is -d or d, copied at C level, with its row sum then added to
+    the diagonal entry, which is tr + sign * d_ii.
+    """
     if kind == MatrixKind.DISTANCE:
         return dist
-    sign = -1 if kind == MatrixKind.DISTANCE_LAPLACIAN else 1
-    return IntMatrix(tuple(
-        tuple((tr if i == j else 0) + sign * d for j, d in enumerate(row))
-        for i, (row, tr) in enumerate(zip(dist.rows, map(sum, dist.rows)))
-    ))
+    laplacian = kind == MatrixKind.DISTANCE_LAPLACIAN
+    rows = []
+    for i, row in enumerate(dist.rows):
+        out = list(map(neg, row) if laplacian else row)
+        out[i] += sum(row)
+        rows.append(tuple(out))
+    return IntMatrix(tuple(rows))
 
 
 class Oracle(NamedTuple):
@@ -211,7 +254,7 @@ def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
     """Refuse a graph of the given order above the cap (None for no cap)."""
     if order_cap is not None and order > order_cap:
         raise OrderCapExceeded(
-            f"{spec.label()} graph order {order} exceeds cap {order_cap}"
+            f"{spec.label()} graph order {order} exceeds cap {order_cap}", order
         )
 
 

@@ -26,18 +26,23 @@ from .exactalg import (
     rational_roots_of_quadratic,
 )
 from .families import ALL_KINDS, GroupSpec, MatrixKind
-from .graphs import PartitionStructure, oracle
+from .graphs import OrderCapExceeded, PartitionStructure, oracle
 
 DEFAULT_ORDER_CAP = 150
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one closed-form-versus-oracle comparison."""
+    """Outcome of one closed-form-versus-oracle comparison.
+
+    `order` is the graph order |G| - |Z(G)|.  It is None in an error report
+    whose exception does not carry it: only OrderCapExceeded does, and not
+    when the group was refused from its parameters alone.
+    """
 
     group: GroupSpec
     kind: MatrixKind
-    order: int
+    order: int | None
     matched: bool
     oracle_poly: IntPolynomial
     closed_poly: IntPolynomial
@@ -130,7 +135,7 @@ def _verify_job(args: tuple[GroupSpec, MatrixKind, int]) -> VerificationReport:
         return VerificationReport(
             spec,
             kind,
-            spec.order,
+            exc.order if isinstance(exc, OrderCapExceeded) else None,
             False,
             IntPolynomial(),
             IntPolynomial(),

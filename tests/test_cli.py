@@ -121,6 +121,23 @@ def test_verify_mismatch_exit_one_with_residual(capsys):
     assert "unmatched closed factor: (x^2 - 42*x + 384)^1" in out
 
 
+def test_verify_error_report_without_graph_order(capsys):
+    # QD_2^40 is refused from its parameters, so no graph order is known
+    code, out, _ = run(capsys, "verify", "--group", "qd", "--n-range", "40..40")
+    assert code == 1
+    assert out.splitlines()[0] == "[ERROR] QD_1099511627776 matrix=d order=?"
+    _, out, _ = run(
+        capsys, "verify", "--group", "qd", "--n-range", "40..40", "--matrix", "d",
+        "--format", "json",
+    )
+    assert json.loads(out)["order"] is None
+    _, out, _ = run(
+        capsys, "verify", "--group", "qd", "--n-range", "40..40", "--matrix", "d",
+        "--format", "csv",
+    )
+    assert next(csv.DictReader(io.StringIO(out)))["order"] == ""
+
+
 def test_verify_bad_range_exit_two(capsys):
     code, _, err = run(
         capsys, "verify", "--group", "q4n", "--n-range", "0..1", "--matrix", "d",

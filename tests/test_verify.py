@@ -146,6 +146,21 @@ class TestVerifyGrid:
         assert not reports[1].matched
         assert "OrderCapExceeded" in reports[1].error
 
+    def test_error_report_order_is_the_graph_order_or_none(self):
+        # Q_12 is refused from its centre, with graph order 10; Q_48 from its
+        # parameters alone (48 > 4 * 10), so its graph order is never computed
+        reports = verify_grid([GroupSpec.q4n(3), GroupSpec.q4n(12)], (D,), order_cap=9)
+        assert [r.order for r in reports] == [10, None]
+        assert all(r.error.startswith("OrderCapExceeded") for r in reports)
+
+    def test_order_cap_exceeded_carries_its_order_through_pickle(self):
+        import pickle
+
+        exc = OrderCapExceeded("Q_12 graph order 10 exceeds cap 9", 10)
+        again = pickle.loads(pickle.dumps(exc))
+        assert (str(again), again.order) == (str(exc), 10)
+        assert OrderCapExceeded("refused unenumerated").order is None
+
     def test_arithmetic_error_becomes_error_report(self, monkeypatch):
         import ncgspectra.verify as verify
 

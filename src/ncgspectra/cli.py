@@ -4,11 +4,10 @@ All big integers are serialized as decimal strings in JSON so that 64-bit
 consumers never lose precision; characteristic polynomial coefficients exceed
 2^63 almost immediately.  Exit codes: 0 success (verify: all matched), 1
 verification mismatch found, 2 usage error.  An exception that escapes a
-command maps to an exit code with one line on stderr: InvalidParameters,
-OrderCapExceeded (the oracle's cap, also on a closed-form --charpoly) and
-ArithmeticError (a char-poly coefficient bound beyond the prime table) print
-"error: ..." and exit 2; NotCompleteMultipartite prints "structural violation:
-..." and exits 1.  Any other exception is a programming error and propagates.
+command maps to an exit code with one line on stderr and nothing on stdout:
+NotCompleteMultipartite prints "structural violation: ..." and exits 1; the
+rest of `verify.INSTANCE_FAILURES`, the rule a grid run uses for one
+instance, prints "error: ..." and exits 2.  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -35,9 +34,10 @@ from .families import (
     InvalidParameters,
     MatrixKind,
 )
-from .graphs import NotCompleteMultipartite, OrderCapExceeded, check_order_cap
+from .graphs import NotCompleteMultipartite, check_order_cap
 from .verify import (
     DEFAULT_ORDER_CAP,
+    INSTANCE_FAILURES,
     IntegralityRecord,
     VerificationReport,
     search_integral,
@@ -104,10 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_spec(family: str, n: int, m: int | None) -> GroupSpec:
-    if m is None and FAMILY_RECORDS[family].min_m is not None:
-        raise InvalidParameters(f"{family} requires --m")
-    return GroupSpec(family, n, m)
+def _takes_m(family: str, flag: str, given: object) -> bool:
+    """Whether the family takes m; refuses `flag` unless given exactly then."""
+    takes_m = FAMILY_RECORDS[family].min_m is not None
+    if takes_m != (given is not None):
+        need = "requires" if takes_m else "takes no"
+        raise InvalidParameters(f"{family} {need} {flag}")
+    return takes_m
+
+
+def _record_head(spec: GroupSpec, kind: MatrixKind, **rest: object) -> dict:
+    """A record's leading keys, which fix the JSON bytes and `_csv_key`."""
+    return dict(family=spec.family, params=spec.params(), matrix=kind.value, **rest)
 
 
 def _spectrum_entries(spectrum: SpectrumSpec) -> list[dict]:
@@ -191,16 +199,11 @@ def _spectrum_rows(record: dict) -> list[list]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = _make_spec(args.group, args.n, args.m)
+    _takes_m(args.group, "--m", args.m)
+    spec = GroupSpec(args.group, args.n, args.m)
     kind = MatrixKind(args.matrix)
     closed = spectrum_for(spec, kind)
-    record: dict = {
-        "family": spec.family,
-        "params": spec.params(),
-        "matrix": kind.value,
-        "order": closed.order,
-        "method": args.method,
-    }
+    record = _record_head(spec, kind, order=closed.order, method=args.method)
     poly = None
     if args.method == "closed":
         record["spectrum"] = _spectrum_entries(closed)
@@ -226,13 +229,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _verify_record(report: VerificationReport) -> dict:
-    record: dict = {
-        "family": report.group.family,
-        "params": report.group.params(),
-        "matrix": report.kind.value,
-        "order": report.order,
-        "matched": report.matched,
-    }
+    record = _record_head(
+        report.group, report.kind, order=report.order, matched=report.matched
+    )
     if report.error:
         record["error"] = report.error
     elif not report.matched:
@@ -275,10 +274,7 @@ def _verify_rows(record: dict) -> list[list]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.n_range
-    takes_m = FAMILY_RECORDS[args.group].min_m is not None
-    if takes_m != (args.m_range is not None):
-        need = "requires" if takes_m else "takes no"
-        raise InvalidParameters(f"{args.group} {need} --m-range")
+    takes_m = _takes_m(args.group, "--m-range", args.m_range)
     ms = range(args.m_range[0], args.m_range[1] + 1) if takes_m else (None,)
     specs = [GroupSpec(args.group, n, m) for m in ms for n in range(lo, hi + 1)]
     kinds = ALL_KINDS if args.matrix == "all" else (MatrixKind(args.matrix),)
@@ -292,15 +288,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _search_record(rec: IntegralityRecord) -> dict:
-    return {
-        "family": rec.group.family,
-        "params": rec.group.params(),
-        "matrix": rec.kind.value,
-        "predicted": rec.predicted_integral,
-        "computed": rec.computed_integral,
-        "witness": None if rec.witness is None else str(rec.witness),
-        "note": rec.note,
-    }
+    return _record_head(
+        rec.group,
+        rec.kind,
+        predicted=rec.predicted_integral,
+        computed=rec.computed_integral,
+        witness=None if rec.witness is None else str(rec.witness),
+        note=rec.note,
+    )
 
 
 def _search_text(records: list[dict]) -> list[str]:
@@ -322,8 +317,8 @@ def _search_text(records: list[dict]) -> list[str]:
 def cmd_search_integral(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise InvalidParameters(f"--max-n must be at least 1, got {args.max_n}")
+    _takes_m(args.group, "--m", args.m)
     lowest = FAMILY_RECORDS[args.group].min_n
-    _make_spec(args.group, lowest, args.m)  # rejects a bad --m even for an empty scan
     specs = [GroupSpec(args.group, n, args.m) for n in range(lowest, args.max_n + 1)]
     records = search_integral(specs, MatrixKind(args.matrix))
     _write(
@@ -346,12 +341,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_search_integral(args)
-    except (InvalidParameters, OrderCapExceeded, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except NotCompleteMultipartite as exc:
         print(f"structural violation: {exc}", file=sys.stderr)
         return 1
+    except INSTANCE_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def entrypoint() -> None:

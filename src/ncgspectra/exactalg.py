@@ -424,22 +424,13 @@ class QuadraticEig:
     s: int
     p: int
 
-    @property
-    def discriminant(self) -> int:
-        return self.s * self.s - 4 * self.p
-
     def __str__(self) -> str:
         return str(IntPolynomial((self.p, -self.s, 1)))
 
     def integer_roots(self) -> tuple[int, int] | None:
-        """Both roots when the discriminant is a perfect square, else None.
+        """Both roots, smaller first, when they are rational, else None.
 
-        A monic integer quadratic with rational roots has integer roots, and
-        s and sqrt(disc) always share parity, so the halving below is exact.
+        A monic integer quadratic with rational roots has integer roots.
         """
-        sq = is_perfect_square(self.discriminant)
-        if sq is None:
-            return None
-        if (self.s - sq) % 2:
-            raise ArithmeticError(f"parity violation in {self}")
-        return ((self.s - sq) // 2, (self.s + sq) // 2)
+        roots = rational_roots_of_quadratic(1, -self.s, self.p)
+        return None if roots is None else (int(roots[0]), int(roots[1]))

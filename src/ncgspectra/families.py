@@ -155,18 +155,17 @@ def scaled_root_pair(
 ) -> QuadraticEig:
     """Monic quadratic satisfied by scale*t + offset where qa*t^2 + qb*t + qc = 0.
 
-    Eliminates t exactly; requires qa to divide qb*scale and qc*scale^2, which
-    holds for every family because qa divides scale.
+    Eliminates t exactly: u = scale*t satisfies u^2 + b*u + c = 0 with
+    b = qb*(scale/qa) and c = qc*(scale/qa)*scale.  Requires qa to divide
+    scale, which holds for every family, and raises ArithmeticError otherwise
+    (ZeroDivisionError for qa = 0).
     """
     qa, qb, qc = tquad
-    if qa == 0:
-        raise ValueError("degenerate quadratic for t")
-    b_num = qb * scale
-    c_num = qc * scale * scale
-    if b_num % qa or c_num % qa:
-        raise ArithmeticError("elimination does not stay integral")
-    b = b_num // qa
-    c = c_num // qa
+    k, rem = divmod(scale, qa)
+    if rem:
+        raise ArithmeticError(f"t's leading coefficient {qa} does not divide {scale}")
+    b = qb * k
+    c = qc * k * scale
     return QuadraticEig(2 * offset - b, offset * offset - b * offset + c)
 
 

@@ -26,18 +26,23 @@ from .exactalg import (
     rational_roots_of_quadratic,
 )
 from .families import ALL_KINDS, GroupSpec, MatrixKind
-from .graphs import OrderCapExceeded, PartitionStructure, oracle
+from .graphs import Oracle, OrderCapExceeded, PartitionStructure, oracle
 
 DEFAULT_ORDER_CAP = 150
+
+# One instance's failure, in a grid run and on the command line.  ValueError
+# covers invalid parameters, the oracle's refusals and CPython's int-to-str
+# digit limit; ArithmeticError an inexact division or the prime table's end.
+# Any other exception is a programming error and propagates.
+INSTANCE_FAILURES = (ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one closed-form-versus-oracle comparison.
 
-    `order` is the graph order |G| - |Z(G)|.  It is None in an error report
-    whose exception does not carry it: only OrderCapExceeded does, and not
-    when the group was refused from its parameters alone.
+    `order` is the graph order |G| - |Z(G)|.  An error report has it once the
+    oracle built the graph or when OrderCapExceeded names it, else None.
     """
 
     group: GroupSpec
@@ -107,7 +112,11 @@ def verify_instance(
     spec: GroupSpec, kind: MatrixKind, order_cap: int = DEFAULT_ORDER_CAP
 ) -> VerificationReport:
     """Compare the closed-form spectrum polynomial with the oracle, exactly."""
-    staged = oracle(spec, kind, order_cap)
+    return _compare(spec, kind, oracle(spec, kind, order_cap))
+
+
+def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationReport:
+    """Everything after the oracle: char poly, closed form and comparison."""
     oracle_poly = char_poly(staged.matrix)
     spectrum = spectrum_for(spec, kind)
     closed = spectrum_to_polynomial(spectrum)
@@ -129,13 +138,16 @@ def verify_instance(
 
 def _verify_job(args: tuple[GroupSpec, MatrixKind, int]) -> VerificationReport:
     spec, kind, cap = args
+    order = None
     try:
-        return verify_instance(spec, kind, cap)
-    except (ValueError, ArithmeticError) as exc:
+        staged = oracle(spec, kind, cap)
+        order = staged.graph.order
+        return _compare(spec, kind, staged)
+    except INSTANCE_FAILURES as exc:
         return VerificationReport(
             spec,
             kind,
-            exc.order if isinstance(exc, OrderCapExceeded) else None,
+            exc.order if isinstance(exc, OrderCapExceeded) else order,
             False,
             IntPolynomial(),
             IntPolynomial(),
@@ -152,11 +164,9 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """Run verify_instance over the whole grid, never aborting on one failure.
 
-    An instance that raises ValueError (which covers OrderCapExceeded,
-    NotCompleteMultipartite and invalid parameters) or ArithmeticError (an
-    inexact division, or a char-poly coefficient bound beyond the prime
-    table) becomes an error report with `error` set to the exception's type
-    and message; any other exception is a programming error and propagates.
+    An instance that raises one of INSTANCE_FAILURES becomes an error report
+    with `error` set to the exception's type and message; any other exception
+    is a programming error and propagates.
     Instances are independent pure computations; when min(jobs, instances,
     CPUs) > 1 they run in a pool of that many processes, all started at once,
     with about four chunks per worker, as one small instance costs less than a
@@ -186,10 +196,11 @@ def predicted_integral(spec: GroupSpec, kind: MatrixKind) -> tuple[bool, int | N
     Distance: the family's square-free core must be a perfect square.
     Distance Laplacian: always integral.  Signless Laplacian: both roots t of
     the family's quadratic must be integers (U_6n and M_8n have no quadratic
-    and are stated as always integral).  Returns (predicted, witness, note);
-    the witness is the integer square root when one certifies the prediction,
-    and for a rational non-integral t the note records its denominator as
-    evidence.
+    and are stated as always integral).  Returns (predicted, witness, note).
+    The witness is the integer square root that certifies a true prediction:
+    of the core for D, and for D^Q of the t quadratic's discriminant, read
+    off its roots as |a|*(t2 - t1).  For a rational non-integral t the note
+    records its denominator as evidence.
     """
     if kind == MatrixKind.DISTANCE_LAPLACIAN:
         return True, None, "integral for all parameters"
@@ -207,7 +218,7 @@ def predicted_integral(spec: GroupSpec, kind: MatrixKind) -> tuple[bool, int | N
     dens = sorted({r.denominator for r in roots if r.denominator != 1})
     if dens:
         return False, None, f"rational t with denominator {dens[0]}"
-    return True, is_perfect_square(tquad[1] ** 2 - 4 * tquad[0] * tquad[2]), "integral t"
+    return True, int(abs(tquad[0]) * (roots[1] - roots[0])), "integral t"
 
 
 def integrality_record(spec: GroupSpec, kind: MatrixKind) -> IntegralityRecord:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import sys
+
+import pytest
 
 from ncgspectra.cli import main
 
@@ -378,3 +381,33 @@ def test_closed_charpoly_runs_under_a_raised_order_cap(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["order"] == 198 and len(record["charpoly"]) == 199
+
+
+@pytest.fixture
+def low_digit_limit():
+    """CPython's int-to-str digit limit at its minimum, 640, for this test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--group", "qd", "--n", "1100", "--matrix", "d"),
+    ("spectrum", "--group", "qd", "--n", "1100", "--matrix", "dq", "--format", "csv"),
+    ("search-integral", "--group", "qd", "--matrix", "d", "--max-n", "1100"),
+], ids=["spectrum-d", "spectrum-dq-csv", "search-integral"])
+def test_int_to_str_limit_is_an_error_not_a_traceback(capsys, low_digit_limit, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Exceeds the limit (640 digits)")
+    assert err.count("\n") == 1
+
+
+def test_spectrum_refuses_m_for_a_family_without_it(capsys):
+    code, out, err = run(
+        capsys, "spectrum", "--group", "q4n", "--n", "3", "--m", "2", "--matrix", "d",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: q4n takes no --m\n"

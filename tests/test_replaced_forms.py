@@ -1,14 +1,21 @@
-"""The single owners of the matrix kinds, the even-m reduction and the Q_4n eigenbasis against the copies they replaced.
+"""The single owners of the matrix kinds, the even-m reduction, the Q_4n eigenbasis and the quadratic roots against the copies they replaced.
 
 D^L and D^Q were built by one helper that put the transmissions (row sums of
 D) on the diagonal and added sign times D; the even-m M_2mn parts, D and D^L
 forms each moved (n, m) to (2n, m/2) inline before evaluating the odd-m
 formula; the Q_4n eigenvectors restated their eigenvalues, the D^Q scale and
 offset and the part size 2 as literals instead of reading the family record.
-Those copies are kept here as references.
+`QuadraticEig.integer_roots`, `scaled_root_pair` and the D^Q witness of
+`predicted_integral` each wrote and rooted a discriminant of their own, or
+divided |G|^2-sized products, where `rational_roots_of_quadratic` and one
+division of the scale now serve.  Those copies are kept here as references.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ncgspectra.families as families
 
 from ncgspectra import (
     ALL_KINDS,
@@ -20,8 +27,10 @@ from ncgspectra import (
     claimed_partition_sizes,
     default_grid,
     eigenbasis_q4n,
+    is_perfect_square,
     matrix_of_kind,
     oracle,
+    predicted_integral,
     rational_roots_of_quadratic,
 )
 from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
@@ -171,3 +180,114 @@ def reference_eigenbasis_q4n(kind, n):
 def test_eigenbasis_reads_the_record_like_the_literal_copy(n):
     for kind in (DL, DQ):
         assert eigenbasis_q4n(kind, n) == reference_eigenbasis_q4n(kind, n)
+
+
+def reference_integer_roots(quad):
+    disc = quad.s * quad.s - 4 * quad.p
+    sq = is_perfect_square(disc)
+    if sq is None:
+        return None
+    if (quad.s - sq) % 2:
+        raise ArithmeticError(f"parity violation in {quad}")
+    return ((quad.s - sq) // 2, (quad.s + sq) // 2)
+
+
+def reference_scaled_root_pair(tquad, scale, offset):
+    qa, qb, qc = tquad
+    if qa == 0:
+        raise ValueError("degenerate quadratic for t")
+    b_num = qb * scale
+    c_num = qc * scale * scale
+    if b_num % qa or c_num % qa:
+        raise ArithmeticError("elimination does not stay integral")
+    b = b_num // qa
+    c = c_num // qa
+    return QuadraticEig(2 * offset - b, offset * offset - b * offset + c)
+
+
+def reference_predicted_integral(spec, kind):
+    if kind == DL:
+        return True, None, "integral for all parameters"
+    record = spec.record
+    if kind == D:
+        core = record.distance_core(spec.n, spec.m)
+        root = is_perfect_square(core)
+        return root is not None, root, f"square core {core}"
+    tquad = record.t_quadratic(spec.n, spec.m)
+    if tquad is None:
+        return True, None, "integral for all parameters"
+    roots = rational_roots_of_quadratic(*tquad)
+    if roots is None:
+        return False, None, "irrational t"
+    dens = sorted({r.denominator for r in roots if r.denominator != 1})
+    if dens:
+        return False, None, f"rational t with denominator {dens[0]}"
+    return True, is_perfect_square(tquad[1] ** 2 - 4 * tquad[0] * tquad[2]), "integral t"
+
+
+# Every family well past the default grid; QD_2^1200's integers have about
+# 720 digits.
+WIDE_SPECS = (
+    [GroupSpec.q4n(n) for n in range(2, 3001)]
+    + [GroupSpec.qd(n) for n in range(4, 1201)]
+    + [GroupSpec.u6n(n) for n in range(1, 3001)]
+    + [GroupSpec.metacyclic(m, n) for m in range(3, 41) for n in range(1, 61)]
+)
+
+
+def _pairs_with_integer_roots():
+    return st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)).map(
+        lambda r: (r[0] + r[1], r[0] * r[1])
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    _pairs_with_integer_roots(),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**12, 10**12)),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+))
+@example((6, 0))
+@example((0, 0))
+@example((7, 12))
+@example((7, -8))
+@example((5, 7))
+@example((0, -9))
+@example((2 * 10**40 + 1, 10**80 + 10**40))
+def test_integer_roots_equal_the_own_discriminant_copy(pair):
+    quad = QuadraticEig(*pair)
+    assert quad.integer_roots() == reference_integer_roots(quad)
+
+
+def test_scaled_root_pair_equals_the_two_division_copy(monkeypatch):
+    calls = []
+    owner = families.scaled_root_pair
+
+    def recording(*args):
+        calls.append(args)
+        return owner(*args)
+
+    monkeypatch.setattr(families, "scaled_root_pair", recording)
+    for spec in WIDE_SPECS:
+        spec.record.closed_forms[DQ](spec.n, spec.m)
+    # One pair for every Q_4n, QD_2^n and M_2mn with m odd or m > 4 even.
+    assert len(calls) == 2999 + 1197 + 60 * (19 + 18)
+    for args in calls:
+        assert owner(*args) == reference_scaled_root_pair(*args)
+
+
+def test_scaled_root_pair_requires_qa_to_divide_the_scale():
+    with pytest.raises(ArithmeticError):
+        scaled_root_pair((3, 1, -1), 4, 0)
+    # The two-division copy accepted this one: 2 divides 2*3 and 2*3^2.
+    assert reference_scaled_root_pair((2, 2, 2), 3, 0) == QuadraticEig(-3, 9)
+    with pytest.raises(ArithmeticError):
+        scaled_root_pair((2, 2, 2), 3, 0)
+
+
+def test_predicted_integral_equals_the_own_discriminant_copy():
+    for spec in WIDE_SPECS:
+        for kind in ALL_KINDS:
+            assert predicted_integral(spec, kind) == reference_predicted_integral(
+                spec, kind
+            )

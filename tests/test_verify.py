@@ -178,6 +178,8 @@ class TestVerifyGrid:
             assert report.error == (
                 "ArithmeticError: coefficient bound beyond the prime table"
             )
+        # The graph was built before the char poly failed: its order is kept.
+        assert [r.order for r in reports] == [6, 6, 5, 5]
 
     def test_programming_errors_propagate(self, monkeypatch):
         import ncgspectra.verify as verify

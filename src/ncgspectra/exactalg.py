@@ -4,8 +4,15 @@ Everything here is exact: Python integers throughout, no floating point
 anywhere.  The characteristic polynomial has two independent implementations,
 
 * `char_poly` -- reduction to upper Hessenberg form and the O(n^3) Hessenberg
-  recurrence, both modulo a Mersenne prime chosen above an a-priori bound on
-  the coefficients, so that the symmetric residues are the exact integers, and
+  recurrence, both modulo a prime chosen above twice an a-priori bound on
+  the coefficients, so that the symmetric residues are the exact integers.
+  The bound is C(n, k) * t^k for the coefficient of x^(n-k), where t is the
+  ceiling of ||M||_F / sqrt(n); it holds by |e_k(lambda)| <= e_k(|lambda|),
+  Maclaurin's inequality and Schur's inequality, and t never exceeds the
+  largest absolute row sum.  The primes come from one ascending table:
+  certified Proth primes k * 2^m + 1, whose bit lengths grow by at most
+  12.5% per step from 61 to 2,453 bits, among the Mersenne primes, which
+  continue up to 2^44497 - 1, the end of the table; and
 * `char_poly_interpolation` -- fraction-free Bareiss determinants of xI - M at
   n+1 integer points combined by Lagrange interpolation with a single exact
   division by n! at the end.
@@ -16,10 +23,11 @@ Their exact agreement is asserted by the test suite, not re-checked at runtime.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -150,8 +158,20 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "IntPolynomial":
+        """self^k; a linear base a + b*x expands as sum_i C(k, i) a^(k-i) b^i x^i."""
         if k < 0:
             raise ValueError("negative polynomial power")
+        if len(self.coeffs) == 2:
+            a, b = self.coeffs
+            a_pows = list(accumulate(repeat(a, k), mul, initial=1))
+            a_pows.reverse()
+            binom = [1] * (k + 1)
+            for i in range(k // 2):
+                binom[i + 1] = binom[k - i - 1] = binom[i] * (k - i) // (i + 1)
+            coeffs = map(mul, binom, a_pows)
+            if b != 1:
+                coeffs = map(mul, coeffs, accumulate(repeat(b, k), mul, initial=1))
+            return IntPolynomial(coeffs)
         result = IntPolynomial((1,))
         base = self
         while k:
@@ -223,6 +243,30 @@ _MERSENNE_EXPONENTS = (
     4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497,
 )
 
+# Proth primes p = k * 2^m + 1 as (m, k, a), filling the Mersenne gaps up to
+# 2,453 bits.  Rule: bit lengths L_0 = 61, L_{i+1} = floor(9 L_i / 8) up to
+# the first L >= 2429 (the row-sum bound of QD_2^8's D^L matrix); for
+# each L, the smallest odd k with m = L - bitlen(k), and the smallest prime
+# a with a^((p - 1)/2) = -1 (mod p).  Since k < 2^m, that witness proves p
+# prime (Proth, 1878).
+_PROTH_PRIMES = (
+    (66, 3, 5), (70, 39, 5), (81, 9, 7), (92, 7, 3), (97, 315, 11),
+    (111, 129, 5), (128, 21, 5), (141, 141, 5), (159, 225, 13),
+    (180, 127, 3), (206, 9, 5), (231, 29, 3), (257, 239, 3),
+    (291, 107, 3), (326, 469, 3), (370, 39, 5), (414, 327, 7),
+    (467, 137, 3), (526, 189, 5), (594, 49, 3), (666, 375, 7),
+    (750, 423, 5), (845, 233, 3), (947, 3639, 5), (1070, 193, 3),
+    (1205, 125, 3), (1352, 1407, 5), (1522, 1159, 3), (1713, 1859, 3),
+    (1930, 357, 11), (2167, 8219, 3), (2443, 929, 3),
+)
+
+# Every char-poly modulus, ascending: consecutive bit lengths differ by at
+# most 12.5% up to the top Proth prime, then the Mersenne primes continue.
+_PRIMES = tuple(sorted(
+    [(1 << e) - 1 for e in _MERSENNE_EXPONENTS]
+    + [k << m | 1 for m, k, _ in _PROTH_PRIMES]
+))
+
 
 def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """An upper Hessenberg matrix similar to `rows` modulo the prime p.
@@ -264,31 +308,38 @@ def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
     """det(xI - M), monic of degree n, exact, in O(n^3) operations modulo a prime.
 
-    Every eigenvalue has modulus at most rho, the largest absolute row sum, so
-    the coefficient of x^k is bounded by B = max_k C(n, k) * rho^(n - k).  The
-    work is done modulo the smallest tabulated Mersenne prime p > 2B, where the
-    symmetric residues in (-p/2, p/2] are the integer coefficients themselves.
-    M is reduced to upper Hessenberg form H by a similarity mod p, and
-    det(xI - H) follows from the recurrence over its leading principal
-    submatrices (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9).  Raises ArithmeticError, rather than return an unproven
-    result, when 2B exceeds the largest tabulated prime.
+    The coefficient of x^(n-k) is (-1)^k e_k of the eigenvalues, so its
+    modulus is at most e_k(|lambda|) <= C(n, k) * mean(|lambda|)^k by
+    Maclaurin's inequality.  The mean is at most the root mean square, which
+    by Schur's inequality is at most ||M||_F / sqrt(n).  So with the integer
+    t = ceil(sqrt(ceil(||M||_F^2 / n))) every coefficient is bounded by
+    B = max_k C(n, k) * t^k.  Since ||M||_F^2 <= n * rho^2, where rho is the
+    largest absolute row sum, t <= rho, so B never exceeds
+    max_k C(n, k) * rho^k.  The work is done modulo the smallest tabulated
+    prime p > 2B, where the symmetric residues in (-p/2, p/2] are the
+    integer coefficients themselves.  M is reduced to upper Hessenberg form
+    H by a similarity mod p, and det(xI - H) follows from the recurrence
+    over its leading principal submatrices (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9).  Raises ArithmeticError, rather
+    than return an unproven result, when 2B reaches the largest tabulated
+    prime, 2^44497 - 1.
     """
     n = matrix.n
     if n == 0:
         return POLY_ONE
-    rho = max(sum(map(abs, row)) for row in matrix.rows)
-    bound = max(math.comb(n, k) * rho ** (n - k) for k in range(n + 1))
-    for e in _MERSENNE_EXPONENTS:
-        p = (1 << e) - 1
-        if p > 2 * bound:
-            break
-    else:
+    rows = matrix.rows
+    mean_square = -(-sum(sum(map(mul, row, row)) for row in rows) // n)
+    root = math.isqrt(mean_square)
+    t = root + (root * root < mean_square)
+    bound = max(math.comb(n, k) * t**k for k in range(n + 1))
+    index = bisect_right(_PRIMES, 2 * bound)
+    if index == len(_PRIMES):
         raise ArithmeticError(
             f"coefficient bound of {bound.bit_length()} bits exceeds the largest "
-            f"tabulated Mersenne prime 2^{e} - 1"
+            f"tabulated prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
         )
-    h = _hessenberg_mod(matrix.rows, p)
+    p = _PRIMES[index]
+    h = _hessenberg_mod(rows, p)
     # polys[m] = det(xI - H_m) for the leading m x m block H_m, ascending
     # coefficients mod p; H_{m+1} adds column m, whose entry h[i][m] enters
     # with the subdiagonal product h[i+1][i] ... h[m][m-1].
@@ -404,17 +455,25 @@ def is_perfect_square(v: int) -> int | None:
 
 def rational_roots_of_quadratic(
     a: int, b: int, c: int
-) -> tuple[Fraction, Fraction] | None:
-    """Both roots of a*x^2 + b*x + c when rational, smaller root first."""
+) -> tuple[int | Fraction, int | Fraction] | None:
+    """Both roots of a*x^2 + b*x + c when rational, smaller root first.
+
+    A root is an int when 2a divides its numerator, else a Fraction.
+    """
     if a == 0:
         raise DegenerateQuadratic("leading coefficient is zero")
-    disc = b * b - 4 * a * c
-    s = is_perfect_square(disc)
+    s = is_perfect_square(b * b - 4 * a * c)
     if s is None:
         return None
-    r1 = Fraction(-b - s, 2 * a)
-    r2 = Fraction(-b + s, 2 * a)
-    return (r1, r2) if r1 <= r2 else (r2, r1)
+    if a < 0:
+        s = -s
+    den = 2 * a
+    return _exact_quotient(-b - s, den), _exact_quotient(-b + s, den)
+
+
+def _exact_quotient(num: int, den: int) -> int | Fraction:
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 @dataclass(frozen=True)
@@ -432,5 +491,4 @@ class QuadraticEig:
 
         A monic integer quadratic with rational roots has integer roots.
         """
-        roots = rational_roots_of_quadratic(1, -self.s, self.p)
-        return None if roots is None else (int(roots[0]), int(roots[1]))
+        return rational_roots_of_quadratic(1, -self.s, self.p)

@@ -1,0 +1,170 @@
+"""The char-poly modulus: the prime table, the coefficient bound, and the row-sum engine it replaced.
+
+`char_poly` bounded every coefficient by C(n, k) * rho^k, rho the largest
+absolute row sum, and worked modulo the smallest Mersenne prime above twice
+that bound.  It now takes t = ceil(sqrt(ceil(||M||_F^2 / n))), which never
+exceeds rho, in place of rho and picks from a table where certified Proth
+primes fill the Mersenne gaps.  The old engine is kept here as the
+reference: only the size of the modulus may change, never a coefficient.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ncgspectra import (
+    ALL_KINDS,
+    GroupSpec,
+    IntMatrix,
+    IntPolynomial,
+    char_poly,
+    char_poly_interpolation,
+    default_grid,
+    oracle,
+)
+from ncgspectra.exactalg import _MERSENNE_EXPONENTS, _PRIMES, _PROTH_PRIMES
+
+D = ALL_KINDS[0]
+
+
+def reference_hessenberg_mod(rows, p):
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for j in range(n - 2):
+        sub = j + 1
+        pivot = next((i for i in range(sub, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != sub:
+            h[pivot], h[sub] = h[sub], h[pivot]
+            for row in h:
+                row[pivot], row[sub] = row[sub], row[pivot]
+        pivot_row = h[sub]
+        inv = pow(pivot_row[j], -1, p)
+        factors = []
+        for r in range(sub + 1, n):
+            row = h[r]
+            u = row[j] * inv % p
+            if u:
+                factors.append((r, u))
+                row[j] = 0
+                for k in range(sub, n):
+                    row[k] = (row[k] - u * pivot_row[k]) % p
+        if factors:
+            for row in h:
+                row[sub] = (row[sub] + sum(u * row[r] for r, u in factors)) % p
+    return h
+
+
+def row_sum_char_poly(matrix):
+    n = matrix.n
+    if n == 0:
+        return IntPolynomial((1,))
+    rho = max(sum(map(abs, row)) for row in matrix.rows)
+    bound = max(math.comb(n, k) * rho ** (n - k) for k in range(n + 1))
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > 2 * bound:
+            break
+    else:
+        raise ArithmeticError(
+            f"coefficient bound of {bound.bit_length()} bits exceeds the largest "
+            f"tabulated Mersenne prime 2^{e} - 1"
+        )
+    h = reference_hessenberg_mod(matrix.rows, p)
+    # polys[m] = det(xI - H_m) for the leading m x m block H_m, ascending
+    # coefficients mod p; H_{m+1} adds column m, whose entry h[i][m] enters
+    # with the subdiagonal product h[i+1][i] ... h[m][m-1].
+    polys = [[1]]
+    for m in range(n):
+        nxt = [0] + polys[m]
+        diag = h[m][m]
+        for k, c in enumerate(polys[m]):
+            nxt[k] -= diag * c
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            c = h[i][m] * chain % p
+            if c:
+                for k, v in enumerate(polys[i]):
+                    nxt[k] -= c * v
+        polys.append([v % p for v in nxt])
+    half = p // 2
+    return IntPolynomial(v - p if v > half else v for v in polys[n])
+
+
+def bound_base(matrix):
+    """The least integer t with n t^2 >= ||M||_F^2."""
+    n = matrix.n
+    frob = sum(x * x for row in matrix.rows for x in row)
+    t = math.isqrt(frob // n)
+    while n * t * t < frob:
+        t += 1
+    return t
+
+
+def test_proth_entries_are_certified_primes():
+    assert len(_PROTH_PRIMES) == len({m for m, _, _ in _PROTH_PRIMES})
+    for m, k, a in _PROTH_PRIMES:
+        p = k * 2**m + 1
+        assert k % 2 == 1 and 0 < k < 2**m
+        assert pow(a, (p - 1) // 2, p) == p - 1
+        assert p in _PRIMES
+
+
+def test_prime_table_is_one_fine_ascending_ladder():
+    assert list(_PRIMES) == sorted(set(_PRIMES))
+    assert set(_PRIMES) == {2**e - 1 for e in _MERSENNE_EXPONENTS} | {
+        k * 2**m + 1 for m, k, _ in _PROTH_PRIMES
+    }
+    bits = [p.bit_length() for p in _PRIMES]
+    top = max(k * 2**m + 1 for m, k, _ in _PROTH_PRIMES)
+    ladder = bits[: _PRIMES.index(top) + 1]
+    assert ladder[0] == 61 and ladder[-1] >= 2429
+    assert all(8 * nxt <= 9 * prev for prev, nxt in zip(ladder, ladder[1:]))
+    assert _PRIMES[-1] == 2**44497 - 1
+
+
+def _rows(n):
+    entry = st.one_of(st.integers(-9, 9), st.integers(-10**9, 10**9))
+    row = st.one_of(st.just([0] * n), st.lists(entry, min_size=n, max_size=n))
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(_rows))
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [-1, 0]])
+@example([[3, 0, 0], [0, -3, 0], [0, 0, 3]])
+def test_coefficients_within_the_frobenius_bound(rows):
+    matrix = IntMatrix.from_rows(rows)
+    got = char_poly(matrix)
+    assert got == char_poly_interpolation(matrix)
+    n = matrix.n
+    if n:
+        t = bound_base(matrix)
+        assert t <= max(sum(abs(x) for x in row) for row in rows)
+        for k in range(n + 1):
+            assert abs(got.coeffs[n - k]) <= math.comb(n, k) * t**k
+
+
+def test_char_poly_refuses_past_the_table_end():
+    with pytest.raises(ArithmeticError):
+        char_poly(IntMatrix(((2**30000, 0), (0, 2**30000))))
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=lambda s: s.label())
+def test_char_poly_equals_the_row_sum_engine_on_the_grid(spec):
+    for kind in ALL_KINDS:
+        matrix = oracle(spec, kind).matrix
+        assert char_poly(matrix) == row_sum_char_poly(matrix)
+
+
+def test_char_poly_equals_the_row_sum_engine_on_qd_256():
+    matrix = oracle(GroupSpec.qd(8), D).matrix
+    assert char_poly(matrix) == row_sum_char_poly(matrix)

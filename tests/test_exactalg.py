@@ -244,6 +244,38 @@ def test_poly_basiscs():
         X**-1
 
 
+def repeated_product(base, k):
+    out = IntPolynomial((1,))
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+_COEFF = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(-10**6, 10**6),
+    st.integers(-2**200, 2**200),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COEFF, _COEFF.filter(bool), st.integers(0, 40))
+def test_linear_power_is_binomial_expansion(a, b, k):
+    base = IntPolynomial((a, b))
+    assert base**k == repeated_product(base, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_COEFF, max_size=4).filter(lambda cs: IntPolynomial(cs).degree != 1),
+    st.integers(0, 12),
+)
+def test_other_powers_are_repeated_products(coeffs, k):
+    base = IntPolynomial(coeffs)
+    assert base**k == repeated_product(base, k)
+
+
 def test_divmod_monic():
     p = IntPolynomial((6, 11, 6, 1))  # (x+1)(x+2)(x+3)
     q, r = p.divmod_monic(IntPolynomial((1, 1)))

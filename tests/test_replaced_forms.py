@@ -8,8 +8,13 @@ offset and the part size 2 as literals instead of reading the family record.
 `QuadraticEig.integer_roots`, `scaled_root_pair` and the D^Q witness of
 `predicted_integral` each wrote and rooted a discriminant of their own, or
 divided |G|^2-sized products, where `rational_roots_of_quadratic` and one
-division of the scale now serve.  Those copies are kept here as references.
+division of the scale now serve.  That function itself built two Fractions
+and compared them, where it now orders the numerators by the sign of a and
+returns an int for each root that 2a divides.  Those copies are kept here as
+references.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -291,3 +296,52 @@ def test_predicted_integral_equals_the_own_discriminant_copy():
             assert predicted_integral(spec, kind) == reference_predicted_integral(
                 spec, kind
             )
+
+
+def reference_rational_roots_of_quadratic(a, b, c):
+    disc = b * b - 4 * a * c
+    s = is_perfect_square(disc)
+    if s is None:
+        return None
+    r1 = Fraction(-b - s, 2 * a)
+    r2 = Fraction(-b + s, 2 * a)
+    return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+def _quadratics_with_rational_roots():
+    # (p x - q)(r x - s) with p, r != 0 has the rational roots q/p and s/r.
+    nonzero = st.integers(-10**6, 10**6).filter(bool)
+    wide = st.integers(-10**12, 10**12)
+    return st.tuples(nonzero, wide, nonzero, wide).map(
+        lambda f: (f[0] * f[2], -(f[0] * f[3] + f[1] * f[2]), f[1] * f[3])
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    _quadratics_with_rational_roots(),
+    st.tuples(
+        st.integers(-50, 50).filter(bool), st.integers(-50, 50), st.integers(-50, 50)
+    ),
+    st.tuples(
+        st.integers(-10**12, 10**12).filter(bool),
+        st.integers(-10**12, 10**12),
+        st.integers(-10**12, 10**12),
+    ),
+))
+@example((1, -18, 72))
+@example((-1, 18, -72))
+@example((4, -4, 1))
+@example((-6, 1, 1))
+@example((2, 0, 0))
+@example((-3, 0, 0))
+def test_rational_roots_equal_the_two_fraction_copy(abc):
+    got = rational_roots_of_quadratic(*abc)
+    want = reference_rational_roots_of_quadratic(*abc)
+    if want is None:
+        assert got is None
+        return
+    assert got == want
+    assert [r.denominator for r in got] == [r.denominator for r in want]
+    for root in got:
+        assert type(root) is (int if root.denominator == 1 else Fraction)

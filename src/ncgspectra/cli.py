@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 from typing import Callable
 
 from .closedform import (
@@ -46,6 +45,10 @@ from .verify import (
 )
 
 USAGE_ERROR = 2
+
+# A verify or search-integral scan of more instances (groups x matrix kinds) is
+# refused before any group is built; at this bound either peaks below 300 MB.
+MAX_INSTANCES = 200_000
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -142,21 +145,25 @@ def _write(
     csv_header: list[str],
     csv_rows: Callable[[dict], list[list]],
 ) -> None:
-    """Write one command's records in the chosen --format to --out or stdout."""
-    if args.format == "json":
-        out = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(row for r in records for row in csv_rows(r))
-        out = buf.getvalue()
-    else:
-        out = "".join(line + "\n" for line in text(records))
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
+    """Write one command's records in the chosen --format to --out or stdout.
+
+    Text is rendered before --out is opened, as it can fail; JSON and CSV stream.
+    """
+    lines = text(records) if args.format == "text" else ()
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        if args.format == "json":
+            out.writelines(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+        elif args.format == "csv":
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(csv_header)
+            writer.writerows(row for r in records for row in csv_rows(r))
+        else:
+            out.writelines(line + "\n" for line in lines)
+
+
+def _check_instances(count: int) -> None:
+    if count > MAX_INSTANCES:
+        raise InvalidParameters(f"{count} groups x kinds exceed the limit {MAX_INSTANCES}")
 
 
 def _csv_key(record: dict) -> list:
@@ -275,9 +282,11 @@ def _verify_rows(record: dict) -> list[list]:
 def cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.n_range
     takes_m = _takes_m(args.group, "--m-range", args.m_range)
+    kinds = ALL_KINDS if args.matrix == "all" else (MatrixKind(args.matrix),)
+    m_count = args.m_range[1] - args.m_range[0] + 1 if takes_m else 1
+    _check_instances(m_count * (hi - lo + 1) * len(kinds))
     ms = range(args.m_range[0], args.m_range[1] + 1) if takes_m else (None,)
     specs = [GroupSpec(args.group, n, m) for m in ms for n in range(lo, hi + 1)]
-    kinds = ALL_KINDS if args.matrix == "all" else (MatrixKind(args.matrix),)
     reports = verify_grid(specs, kinds, order_cap=args.order_cap, jobs=args.jobs)
     records = [_verify_record(r) for r in reports]
     _write(
@@ -319,6 +328,7 @@ def cmd_search_integral(args: argparse.Namespace) -> int:
         raise InvalidParameters(f"--max-n must be at least 1, got {args.max_n}")
     _takes_m(args.group, "--m", args.m)
     lowest = FAMILY_RECORDS[args.group].min_n
+    _check_instances(args.max_n - lowest + 1)
     specs = [GroupSpec(args.group, n, args.m) for n in range(lowest, args.max_n + 1)]
     records = search_integral(specs, MatrixKind(args.matrix))
     _write(

@@ -26,7 +26,7 @@ from .exactalg import (
     rational_roots_of_quadratic,
 )
 from .families import EigDesc, GroupSpec, MatrixKind
-from .graphs import PartitionStructure, oracle
+from .graphs import PartitionStructure, matrix_of_kind, oracle
 
 
 class NonIntegralSpectrum(ValueError):
@@ -220,9 +220,9 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     if kind == MatrixKind.DISTANCE:
         raise ValueError("eigenbasis is available for dl and dq only")
     spec = GroupSpec.q4n(n)
-    staged = oracle(spec, kind)
-    order = staged.matrix.n
-    big, *small = staged.partition.classes
+    graph, partition, distance = oracle(spec)
+    matrix, order = matrix_of_kind(distance, kind), graph.order
+    big, *small = partition.classes
     shapes = {
         "all-ones": lambda: (_on_blocks(order, (range(order), 1)),),
         "big-part-vs-one-small-part": lambda: tuple(
@@ -258,7 +258,7 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
             )
         for vec in family.vectors:
             expected = tuple(map(mul, vec, repeat(family.eigenvalue)))
-            if staged.matrix.mat_vec(vec) != expected:
+            if matrix.mat_vec(vec) != expected:
                 raise ArithmeticError(
                     f"vector {vec} fails M v = {family.eigenvalue} v "
                     f"for {kind} at n={n}"

@@ -243,11 +243,11 @@ def matrix_of_kind(dist: IntMatrix, kind: MatrixKind) -> IntMatrix:
 
 
 class Oracle(NamedTuple):
-    """Staged results of the oracle pipeline, up to the matrix."""
+    """Staged results of the oracle pipeline, up to the distance matrix."""
 
     graph: NCGraph
     partition: PartitionStructure
-    matrix: IntMatrix
+    distance: IntMatrix
 
 
 def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
@@ -258,13 +258,13 @@ def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
         )
 
 
-def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> Oracle:
-    """Group -> order-cap check -> graph -> certified part-major graph -> matrix.
+def oracle(spec: GroupSpec, order_cap: int | None = None) -> Oracle:
+    """Group -> order-cap check -> graph -> certified part-major graph -> D.
 
-    The cap (None for no cap) is on the graph order |G| - |Z(G)|.  No family
-    is abelian, so G/Z(G) is not cyclic and |Z(G)| <= |G|/4: past 4 * cap the
-    group is refused unenumerated, and below that the exact order from the
-    O(|G|) centre is checked before the O(|G|^2) graph is built.
+    `matrix_of_kind` builds D^L or D^Q from D.  The cap (None for no cap) is
+    on the graph order |G| - |Z(G)|.  No family is abelian, so G/Z(G) is not
+    cyclic and |Z(G)| <= |G|/4: past 4 * cap the group is refused unenumerated,
+    and below that the exact order from the O(|G|) centre is checked first.
     """
     if order_cap is not None and spec.order > 4 * order_cap:
         raise OrderCapExceeded(
@@ -273,4 +273,4 @@ def oracle(spec: GroupSpec, kind: MatrixKind, order_cap: int | None = None) -> O
     group = enumerate_elements(spec)
     check_order_cap(spec, group.order - len(center(group)), order_cap)
     graph, partition = part_major(non_commuting_graph(group))
-    return Oracle(graph, partition, matrix_of_kind(distance_matrix(graph), kind))
+    return Oracle(graph, partition, distance_matrix(graph))

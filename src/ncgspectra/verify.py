@@ -26,7 +26,7 @@ from .exactalg import (
     rational_roots_of_quadratic,
 )
 from .families import ALL_KINDS, GroupSpec, MatrixKind
-from .graphs import Oracle, OrderCapExceeded, PartitionStructure, oracle
+from .graphs import Oracle, OrderCapExceeded, PartitionStructure, matrix_of_kind, oracle
 
 DEFAULT_ORDER_CAP = 150
 
@@ -112,12 +112,12 @@ def verify_instance(
     spec: GroupSpec, kind: MatrixKind, order_cap: int = DEFAULT_ORDER_CAP
 ) -> VerificationReport:
     """Compare the closed-form spectrum polynomial with the oracle, exactly."""
-    return _compare(spec, kind, oracle(spec, kind, order_cap))
+    return _compare(spec, kind, oracle(spec, order_cap))
 
 
 def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationReport:
     """Everything after the oracle: char poly, closed form and comparison."""
-    oracle_poly = char_poly(staged.matrix)
+    oracle_poly = char_poly(matrix_of_kind(staged.distance, kind))
     spectrum = spectrum_for(spec, kind)
     closed = spectrum_to_polynomial(spectrum)
     matched = oracle_poly == closed
@@ -136,24 +136,27 @@ def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationR
     )
 
 
-def _verify_job(args: tuple[GroupSpec, MatrixKind, int]) -> VerificationReport:
-    spec, kind, cap = args
-    order = None
+def _error_report(
+    spec: GroupSpec, kind: MatrixKind, order: int | None, exc: Exception
+) -> VerificationReport:
+    return VerificationReport(spec, kind, order, False, IntPolynomial(), IntPolynomial(),
+                              None, error=f"{type(exc).__name__}: {exc}")
+
+
+def _verify_job(args: tuple[GroupSpec, tuple, int]) -> list[VerificationReport]:
+    spec, kinds, cap = args
     try:
-        staged = oracle(spec, kind, cap)
-        order = staged.graph.order
-        return _compare(spec, kind, staged)
+        staged = oracle(spec, cap)
     except INSTANCE_FAILURES as exc:
-        return VerificationReport(
-            spec,
-            kind,
-            exc.order if isinstance(exc, OrderCapExceeded) else order,
-            False,
-            IntPolynomial(),
-            IntPolynomial(),
-            None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        order = exc.order if isinstance(exc, OrderCapExceeded) else None
+        return [_error_report(spec, kind, order, exc) for kind in kinds]
+    reports = []
+    for kind in kinds:
+        try:
+            reports.append(_compare(spec, kind, staged))
+        except INSTANCE_FAILURES as exc:
+            reports.append(_error_report(spec, kind, staged.graph.order, exc))
+    return reports
 
 
 def verify_grid(
@@ -164,21 +167,20 @@ def verify_grid(
 ) -> list[VerificationReport]:
     """Run verify_instance over the whole grid, never aborting on one failure.
 
-    An instance that raises one of INSTANCE_FAILURES becomes an error report
-    with `error` set to the exception's type and message; any other exception
-    is a programming error and propagates.
-    Instances are independent pure computations; when min(jobs, instances,
-    CPUs) > 1 they run in a pool of that many processes, all started at once,
-    with about four chunks per worker, as one small instance costs less than a
-    round trip to a worker.  Output order is by (spec, kind), not completion.
+    Each group's oracle is built once for all of `kinds`.  An instance raising
+    one of INSTANCE_FAILURES (every kind, if the oracle raised) becomes an
+    error report with `error` set to the exception's type and message; any
+    other exception is a programming error and propagates.  Reports are in
+    (spec, kind) order.  Groups run in a pool of min(jobs, groups, CPUs)
+    processes if that is > 1, with about four chunks per worker.
     """
-    work = [(spec, kind, order_cap) for spec in specs for kind in kinds]
+    work = [(spec, kinds, order_cap) for spec in specs]
     workers = min(jobs, len(work), os.cpu_count() or 1)
-    if workers > 1:
-        chunksize = math.ceil(len(work) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_verify_job, work, chunksize=chunksize))
-    return [_verify_job(w) for w in work]
+    if workers <= 1:
+        return [r for job in work for r in _verify_job(job)]
+    size = math.ceil(len(work) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [r for batch in pool.map(_verify_job, work, chunksize=size) for r in batch]
 
 
 def default_grid() -> list[GroupSpec]:

@@ -196,7 +196,7 @@ def test_criterion_6_charpoly_cross_check(grid_results):
         for report in grid_results.reports:
             if report.kind != D or report.order > 60:
                 continue
-            matrix = oracle(report.group, D).matrix
+            matrix = matrix_of_kind(oracle(report.group).distance, D)
             assert char_poly_interpolation(matrix) == report.oracle_poly
             checked += 1
         assert checked >= 40

@@ -411,3 +411,56 @@ def test_spectrum_refuses_m_for_a_family_without_it(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: q4n takes no --m\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--group", "q4n", "--n-range", "2..30000000", "--matrix", "d"),
+    ("search-integral", "--group", "q4n", "--matrix", "dl", "--max-n", "1000000"),
+    ("verify", "--group", "metacyclic", "--m-range", f"3..{10**19}", "--n-range", "1..1"),
+], ids=["verify", "search-integral", "verify-m-past-ssize_t"])
+def test_wide_scan_refused_before_any_group_is_built(capsys, monkeypatch, argv):
+    import ncgspectra.cli as cli
+
+    def unreachable(*args):
+        raise AssertionError("group built for a refused scan")
+
+    monkeypatch.setattr(cli, "GroupSpec", unreachable)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceed the limit 200000" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, instances", [
+    (("verify", "--group", "q4n", "--n-range", "2..3"), 6),
+    (("verify", "--group", "q4n", "--n-range", "2..4"), 9),
+    (("verify", "--group", "q4n", "--n-range", "2..7", "--matrix", "d"), 6),
+    (("verify", "--group", "metacyclic", "--m-range", "3..4", "--n-range", "1..1"), 6),
+    (("verify", "--group", "metacyclic", "--m-range", "3..5", "--n-range", "1..1"), 9),
+    (("search-integral", "--group", "q4n", "--matrix", "dl", "--max-n", "7"), 6),
+    (("search-integral", "--group", "q4n", "--matrix", "dl", "--max-n", "8"), 7),
+])
+def test_instance_bound_is_inclusive(capsys, monkeypatch, argv, instances):
+    import ncgspectra.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_INSTANCES", 6)
+    code, out, err = run(capsys, *argv)
+    if instances <= 6:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: {instances} groups x kinds exceed the limit 6\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_text_rendering_failure_writes_nothing(capsys, tmp_path, low_digit_limit, to_file):
+    # QD_2^20000's label passes CPython's int-to-str limit only in text
+    target = tmp_path / "verify.txt"
+    argv = ["verify", "--group", "qd", "--n-range", "20000..20000", "--matrix", "d"]
+    code, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (640 digits)")
+    assert not target.exists()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"].startswith("ValueError: Exceeds the limit")

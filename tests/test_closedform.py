@@ -128,8 +128,9 @@ SMALL_SPECS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(SMALL_SPECS)
 def test_oracle_distance_charpoly_equals_quotient_formula(spec):
-    staged = oracle(spec, D, order_cap=60)
-    assert char_poly(staged.matrix) == multipartite_distance_charpoly(staged.partition)
+    staged = oracle(spec, order_cap=60)
+    matrix = matrix_of_kind(staged.distance, D)
+    assert char_poly(matrix) == multipartite_distance_charpoly(staged.partition)
 
 
 class TestQ4nSpectra:
@@ -281,7 +282,7 @@ class TestClosedVsOracleSmall:
     )
     @pytest.mark.parametrize("kind", [D, DL, DQ], ids=str)
     def test_trace_and_sum_match(self, spec, kind):
-        matrix = oracle(spec, kind).matrix
+        matrix = matrix_of_kind(oracle(spec).distance, kind)
         s = spectrum_for(spec, kind)
         assert s.eigenvalue_count == matrix.n
         assert s.eigenvalue_sum == matrix.trace()

@@ -15,6 +15,7 @@ from ncgspectra import (
     char_poly,
     char_poly_interpolation,
     is_perfect_square,
+    matrix_of_kind,
     oracle,
     rational_roots_of_quadratic,
 )
@@ -107,7 +108,7 @@ def test_char_poly_trivial():
 
 
 def test_char_poly_octahedron_factors():
-    matrix = oracle(GroupSpec.q4n(2), MatrixKind.DISTANCE).matrix
+    matrix = matrix_of_kind(oracle(GroupSpec.q4n(2)).distance, MatrixKind.DISTANCE)
     product = IntPolynomial((2, 1)) ** 3 * X**2 * IntPolynomial((-6, 1))
     assert char_poly(matrix) == product
 

@@ -200,12 +200,12 @@ def test_dl_rows_sum_to_zero_across_families():
 def test_oracle_checks_order_cap_on_the_graph():
     spec = GroupSpec.q4n(3)  # graph order 10
     with pytest.raises(OrderCapExceeded, match="Q_12 graph order 10 exceeds cap 9"):
-        oracle(spec, MatrixKind.DISTANCE, order_cap=9)
-    staged = oracle(spec, MatrixKind.DISTANCE, order_cap=10)
-    assert staged.graph.order == staged.matrix.n == 10
+        oracle(spec, order_cap=9)
+    staged = oracle(spec, order_cap=10)
+    assert staged.graph.order == staged.distance.n == 10
     assert staged.partition.sizes == claimed_partition_sizes(spec)
-    assert staged.matrix == distance_matrix(staged.graph)
-    assert oracle(spec, MatrixKind.DISTANCE) == staged
+    assert staged.distance == distance_matrix(staged.graph)
+    assert oracle(spec) == staged
 
 
 def test_oracle_refuses_over_cap_before_building_the_graph(monkeypatch):
@@ -223,7 +223,7 @@ def test_oracle_refuses_over_cap_before_building_the_graph(monkeypatch):
     with pytest.raises(OrderCapExceeded, match="^QD_256 graph order 254 exceeds cap 150$"):
         verify_instance(GroupSpec.qd(8), MatrixKind.DISTANCE)
     with pytest.raises(OrderCapExceeded, match="^Q_12 graph order 10 exceeds cap 9$"):
-        oracle(GroupSpec.q4n(3), MatrixKind.DISTANCE_LAPLACIAN, order_cap=9)
+        oracle(GroupSpec.q4n(3), order_cap=9)
 
 
 def test_oracle_refuses_far_over_cap_before_enumerating(monkeypatch):

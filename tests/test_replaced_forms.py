@@ -63,7 +63,7 @@ def reference_matrix_of_kind(dist, kind):
     "spec", default_grid() + LARGE_SPECS, ids=lambda s: s.label()
 )
 def test_matrix_of_kind_equals_transmissions_plus(spec):
-    dist = oracle(spec, D).matrix
+    dist = matrix_of_kind(oracle(spec).distance, D)
     for kind in ALL_KINDS:
         assert matrix_of_kind(dist, kind) == reference_matrix_of_kind(dist, kind)
 
@@ -117,7 +117,7 @@ def _basis_vector(length, assignments):
 
 def reference_eigenbasis_q4n(kind, n):
     spec = GroupSpec.q4n(n)
-    matrix = oracle(spec, kind).matrix
+    matrix = matrix_of_kind(oracle(spec).distance, kind)
     order = matrix.n
     big = claimed_partition_sizes(spec)[0]
 

@@ -222,10 +222,38 @@ class TestVerifyGrid:
         serial = verify_grid(specs, ALL_KINDS, jobs=1)
         assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
         assert verify_grid(specs, (D,), jobs=5000) == [r for r in serial if r.kind == D]
-        assert requested == [3, 2]
+        assert requested == [2, 2]
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
-        assert requested == [3, 2]
+        assert requested == [2, 2]
+
+    def test_one_oracle_per_group_serves_every_kind(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        calls = []
+        real_oracle = verify.oracle
+
+        def counting(spec, order_cap=None):
+            calls.append(spec)
+            return real_oracle(spec, order_cap)
+
+        monkeypatch.setattr(verify, "oracle", counting)
+        # Q_12 is refused at cap 9 from its centre, QD_2048 from its parameters
+        specs = [GroupSpec.q4n(2), GroupSpec.q4n(3), GroupSpec.u6n(1), GroupSpec.qd(11)]
+        reports = verify_grid(specs, ALL_KINDS, order_cap=9, jobs=1)
+        assert calls == specs
+        assert [(r.group, r.kind) for r in reports] == [
+            (spec, kind) for spec in specs for kind in ALL_KINDS
+        ]
+        assert [r.order for r in reports] == [6] * 3 + [10] * 3 + [5] * 3 + [None] * 3
+        refused = reports[3:6] + reports[9:]
+        assert all(r.error.startswith("OrderCapExceeded") for r in refused)
+        assert all(r.matched for r in reports[:3] + reports[6:9])
+
+    def test_grid_equals_one_instance_at_a_time(self, grid_results):
+        assert grid_results.reports == [
+            verify_instance(spec, kind) for spec in default_grid() for kind in ALL_KINDS
+        ]
 
     def test_default_grid_shape(self):
         specs = default_grid()
@@ -234,7 +262,7 @@ class TestVerifyGrid:
 
 
 def test_grid_traces_match_polynomial_coefficients(grid_results):
-    from ncgspectra import oracle
+    from ncgspectra import matrix_of_kind, oracle
 
     by_spec = {}
     for report in grid_results.reports:
@@ -244,7 +272,7 @@ def test_grid_traces_match_polynomial_coefficients(grid_results):
             assert subleading == 0
         else:
             if report.group not in by_spec:
-                dist = oracle(report.group, D).matrix
+                dist = matrix_of_kind(oracle(report.group).distance, D)
                 by_spec[report.group] = sum(map(sum, dist.rows))
             assert subleading == -by_spec[report.group]
 

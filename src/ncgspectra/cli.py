@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from typing import Callable
+from typing import Callable, Iterable
 
 from .closedform import (
     QuadraticEig,
@@ -47,7 +47,7 @@ from .verify import (
 USAGE_ERROR = 2
 
 # A verify or search-integral scan of more instances (groups x matrix kinds) is
-# refused before any group is built; at this bound either peaks below 300 MB.
+# refused before any group is built; at this bound either peaks below 200 MB.
 MAX_INSTANCES = 200_000
 
 
@@ -140,12 +140,12 @@ def _spectrum_entries(spectrum: SpectrumSpec) -> list[dict]:
 
 def _write(
     args: argparse.Namespace,
-    records: list[dict],
-    text: Callable[[list[dict]], list[str]],
+    records: Iterable[dict],
+    text: Callable[[Iterable[dict]], list[str]],
     csv_header: list[str],
     csv_rows: Callable[[dict], list[list]],
 ) -> None:
-    """Write one command's records in the chosen --format to --out or stdout.
+    """Write one command's records, read once, in --format to --out or stdout.
 
     Text is rendered before --out is opened, as it can fail; JSON and CSV stream.
     """
@@ -172,7 +172,7 @@ def _csv_key(record: dict) -> list:
     return [record["family"], params.get("m", ""), params["n"], record["matrix"]]
 
 
-def _spectrum_text(records: list[dict]) -> list[str]:
+def _spectrum_text(records: Iterable[dict]) -> list[str]:
     lines = []
     for record in records:
         lines.append(" ".join(
@@ -250,9 +250,11 @@ def _verify_record(report: VerificationReport) -> dict:
     return record
 
 
-def _verify_text(records: list[dict]) -> list[str]:
+def _verify_text(records: Iterable[dict]) -> list[str]:
     lines = []
-    for rec in records:
+    ok = total = 0
+    for total, rec in enumerate(records, 1):
+        ok += rec["matched"]
         params = rec["params"]
         label = FAMILY_RECORDS[rec["family"]].label(params["n"], params.get("m"))
         tag = "ERROR" if rec.get("error") else "ok" if rec["matched"] else "MISMATCH"
@@ -267,8 +269,7 @@ def _verify_text(records: list[dict]) -> list[str]:
                 lines.append(
                     f"    unmatched closed factor: ({item['factor']})^{item['mult']}"
                 )
-    ok = sum(1 for r in records if r["matched"])
-    lines.append(f"{ok}/{len(records)} matched")
+    lines.append(f"{ok}/{total} matched")
     return lines
 
 
@@ -288,12 +289,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ms = range(args.m_range[0], args.m_range[1] + 1) if takes_m else (None,)
     specs = [GroupSpec(args.group, n, m) for m in ms for n in range(lo, hi + 1)]
     reports = verify_grid(specs, kinds, order_cap=args.order_cap, jobs=args.jobs)
-    records = [_verify_record(r) for r in reports]
     _write(
-        args, records, _verify_text,
+        args, map(_verify_record, reports), _verify_text,
         ["family", "m", "n", "matrix", "order", "matched", "detail"], _verify_rows,
     )
-    return 0 if all(r["matched"] and "error" not in r for r in records) else 1
+    return 0 if all(r.matched for r in reports) else 1
 
 
 def _search_record(rec: IntegralityRecord) -> dict:
@@ -307,7 +307,7 @@ def _search_record(rec: IntegralityRecord) -> dict:
     )
 
 
-def _search_text(records: list[dict]) -> list[str]:
+def _search_text(records: Iterable[dict]) -> list[str]:
     lines = []
     for d in records:
         mark = "integral" if d["computed"] else "NOT integral"
@@ -329,10 +329,10 @@ def cmd_search_integral(args: argparse.Namespace) -> int:
     _takes_m(args.group, "--m", args.m)
     lowest = FAMILY_RECORDS[args.group].min_n
     _check_instances(args.max_n - lowest + 1)
-    specs = [GroupSpec(args.group, n, args.m) for n in range(lowest, args.max_n + 1)]
+    specs = (GroupSpec(args.group, n, args.m) for n in range(lowest, args.max_n + 1))
     records = search_integral(specs, MatrixKind(args.matrix))
     _write(
-        args, [_search_record(r) for r in records], _search_text,
+        args, map(_search_record, records), _search_text,
         ["family", "m", "n", "matrix", "witness"],
         lambda d: [_csv_key(d) + [d["witness"] or ""]],
     )

@@ -7,14 +7,19 @@ and D^Q), and the stated integrality conditions.  No other module branches
 on the family.
 
 Each group is presented by two generators a, b and every element has a unique
-normal form a^i b^j with 0 <= i < order(a), 0 <= j < order(b).  Products are
-rewritten into normal form using the family's defining relations:
+normal form a^i b^j with 0 <= i < oa, 0 <= j < ob.  A family states its
+presentation as five numbers, `Presentation(oa, ob, s, r, q)`: a^oa = 1,
+b^ob = a^s and b a = a^r b^q.  One product rule, `groups.normal_form_rule`,
+reads every group from them:
 
-* generalized quaternion Q_4n:  a^(2n) = 1, a^n = b^2, b a = a^-1 b
-  (b^2 = a^n is folded into the normal form, so j in {0, 1})
-* quasidihedral QD_2^n:         a^(2^(n-1)) = b^2 = 1, b a b^-1 = a^(2^(n-2)-1)
-* U_6n:                         a^(2n) = b^3 = 1, a^-1 b a = b^-1
-* metacyclic M_2mn:             a^m = b^(2n) = 1, b a b^-1 = a^-1
+* generalized quaternion Q_4n:  (2n, 2, n, -1, 1): a^(2n) = 1, b^2 = a^n,
+  b a = a^-1 b
+* quasidihedral QD_2^n:         (2^(n-1), 2, 0, 2^(n-2)-1, 1):
+  a^(2^(n-1)) = b^2 = 1, b a b^-1 = a^(2^(n-2)-1)
+* U_6n:                         (2n, 3, 0, 1, -1): a^(2n) = b^3 = 1,
+  a^-1 b a = b^-1
+* metacyclic M_2mn:             (m, 2n, 0, -1, 1): a^m = b^(2n) = 1,
+  b a b^-1 = a^-1
 
 The closed forms are transcribed exactly as stated, including forms suspected
 of being misprints; the verifier, not this module, arbitrates each claim
@@ -65,12 +70,27 @@ D, DL, DQ = ALL_KINDS
 
 EigDesc = Union[int, QuadraticEig]
 RawSpectrum = list[tuple[EigDesc, int]]
-Rule = Callable[[GroupElement, GroupElement], GroupElement]
+
+
+class Presentation(NamedTuple):
+    """a^oa = 1, b^ob = a^s and b a = a^r b^q, with normal forms a^i b^j.
+
+    The product rule needs r = 1 or q = 1, r^2 = 1 (mod oa) and q^2 = 1
+    (mod ob), with ob even unless r = 1 and oa even unless q = 1; s = 0
+    unless q = 1, and s (r - 1) = 0 (mod oa), so that a^s is central.
+    """
+
+    oa: int
+    ob: int
+    s: int
+    r: int
+    q: int
 
 
 class Family(NamedTuple):
     """Everything stated about one family; each callable takes (n, m).
 
+    `presentation` gives the group, read by `groups.normal_form_rule`.
     `parts` gives the claimed non-commuting graph K_{b, s x k} as (b, s, k):
     one part of size b >= s and k parts of size s.  `closed_forms` maps each
     matrix kind to its raw closed-form spectrum.  `t_quadratic` is the
@@ -83,8 +103,7 @@ class Family(NamedTuple):
     min_n: int
     min_m: int | None  # None: the family takes no parameter m
     label: Callable[[int, int | None], str]
-    generator_orders: Callable[[int, int | None], tuple[int, int]]
-    rewrite: Callable[[int, int | None], Rule]
+    presentation: Callable[[int, int | None], Presentation]
     parts: Callable[[int, int | None], tuple[int, int, int]]
     closed_forms: dict[MatrixKind, Callable[[int, int | None], RawSpectrum]]
     t_quadratic: Callable[[int, int | None], tuple[int, int, int] | None]
@@ -132,14 +151,13 @@ class GroupSpec:
     def record(self) -> Family:
         return FAMILY_RECORDS[self.family]
 
-    def generator_orders(self) -> tuple[int, int]:
-        """Normal-form ranges (order of a, order of b) for this family."""
-        return self.record.generator_orders(self.n, self.m)
+    def presentation(self) -> Presentation:
+        return self.record.presentation(self.n, self.m)
 
     @property
     def order(self) -> int:
-        oa, ob = self.generator_orders()
-        return oa * ob
+        p = self.presentation()
+        return p.oa * p.ob
 
     def label(self) -> str:
         return self.record.label(self.n, self.m)
@@ -173,21 +191,6 @@ def scaled_root_pair(
 # Graph K_{2n-2, 2 x n} of order 4n-2.  The D^Q exceptional eigenvalues are
 # (2n-2)t + (6n-2) for the two roots t of (2n-2)x^2 + (10-4n)x - 2n = 0.
 
-def _q4n_rewrite(n: int, m: None) -> Rule:
-    nn = 2 * n
-
-    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
-        i, j = x
-        k, l = y
-        if j == 0:
-            return GroupElement((i + k) % nn, l)
-        if l == 0:
-            return GroupElement((i - k) % nn, 1)
-        return GroupElement((i - k + n) % nn, 0)
-
-    return mult
-
-
 def _q4n_t(n: int, m: None) -> tuple[int, int, int]:
     return (2 * n - 2, 10 - 4 * n, -2 * n)
 
@@ -205,8 +208,7 @@ Q4N_FAMILY = Family(
     min_n=2,
     min_m=None,
     label=lambda n, m: f"Q_{4 * n}",
-    generator_orders=lambda n, m: (2 * n, 2),
-    rewrite=_q4n_rewrite,
+    presentation=lambda n, m: Presentation(2 * n, 2, n, -1, 1),
     parts=lambda n, m: (2 * n - 2, 2, n),
     closed_forms={
         D: lambda n, m: [
@@ -228,20 +230,6 @@ Q4N_FAMILY = Family(
 # D^Q offset, taken as printed: 3*(2^(n-1)-2) = 6q-6 where Q_4n has 6q-2.
 # The verifier arbitrates that constant.
 
-def _qd_rewrite(n: int, m: None) -> Rule:
-    mod = 2 ** (n - 1)
-    r = 2 ** (n - 2) - 1
-
-    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
-        i, j = x
-        k, l = y
-        if j == 0:
-            return GroupElement((i + k) % mod, l)
-        return GroupElement((i + r * k) % mod, (1 + l) % 2)
-
-    return mult
-
-
 def _at_quarter(q4n_form: Callable) -> Callable:
     """The Q_4n form evaluated at n = 2^(n-2), as a QD_2^n form."""
     return lambda n, m: q4n_form(2 ** (n - 2), m)
@@ -251,8 +239,7 @@ QD_FAMILY = Family(
     min_n=4,
     min_m=None,
     label=lambda n, m: f"QD_{2 ** n}",
-    generator_orders=lambda n, m: (2 ** (n - 1), 2),
-    rewrite=_qd_rewrite,
+    presentation=lambda n, m: Presentation(2 ** (n - 1), 2, 0, 2 ** (n - 2) - 1, 1),
     parts=_at_quarter(Q4N_FAMILY.parts),
     closed_forms={
         D: _at_quarter(Q4N_FAMILY.closed_forms[D]),
@@ -267,24 +254,11 @@ QD_FAMILY = Family(
 # ------------------------------------------------------------------ U_6n
 # Graph K_{2n, n, n, n} of order 5n; D^Q is stated integral for all n.
 
-def _u6n_rewrite(n: int, m: None) -> Rule:
-    nn = 2 * n
-
-    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
-        i, j = x
-        k, l = y
-        jj = j if k % 2 == 0 else -j
-        return GroupElement((i + k) % nn, (jj + l) % 3)
-
-    return mult
-
-
 U6N_FAMILY = Family(
     min_n=1,
     min_m=None,
     label=lambda n, m: f"U_{6 * n}",
-    generator_orders=lambda n, m: (2 * n, 3),
-    rewrite=_u6n_rewrite,
+    presentation=lambda n, m: Presentation(2 * n, 3, 0, 1, -1),
     parts=lambda n, m: (2 * n, n, 3),
     closed_forms={
         D: lambda n, m: [
@@ -313,18 +287,6 @@ U6N_FAMILY = Family(
 # stated integral for all n.  The quadratics defining the D^Q exceptional
 # eigenvalues are read with middle terms (2m-5)x and 2(m-5)x respectively;
 # the verifier arbitrates those readings.
-
-def _metacyclic_rewrite(n: int, m: int) -> Rule:
-    nn = 2 * n
-
-    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
-        i, j = x
-        k, l = y
-        kk = k if j % 2 == 0 else -k
-        return GroupElement((i + kk) % m, (j + l) % nn)
-
-    return mult
-
 
 def _even_m_at_odd(odd_m_form: Callable) -> Callable:
     """An odd-m M_2mn form, evaluated at (2n, m/2) when m is even."""
@@ -390,8 +352,7 @@ METACYCLIC_FAMILY = Family(
     min_n=1,
     min_m=3,
     label=lambda n, m: f"M_{2 * m * n}",
-    generator_orders=lambda n, m: (m, 2 * n),
-    rewrite=_metacyclic_rewrite,
+    presentation=lambda n, m: Presentation(m, 2 * n, 0, -1, 1),
     parts=_even_m_at_odd(lambda n, m: ((m - 1) * n, n, m)),
     closed_forms={
         D: _even_m_at_odd(_metacyclic_d),

@@ -1,8 +1,9 @@
 """Finite groups of the four families, enumerated with normal-form arithmetic.
 
-Each family's presentation and rewrite rule live in its record in
-`ncgspectra.families`; this module enumerates the normal forms, binds the
-rule once per group, and computes centres, centralizers and the CA property.
+Each family's presentation lives in its record in `ncgspectra.families` as
+five numbers; this module holds the one product rule that reads every group
+from them, enumerates the normal forms, binds the rule once per group, and
+computes centres, centralizers and the CA property.
 
 Everything is read from the regular representation of the two generators
 (Cayley's theorem): the permutations L_a, L_b, R_a and R_b of the element
@@ -20,14 +21,36 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import eq, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .families import GroupElement, GroupSpec, Rule
+from .families import GroupElement, GroupSpec, Presentation
+
+Rule = Callable[[GroupElement, GroupElement], GroupElement]
+
+
+def normal_form_rule(p: Presentation) -> Rule:
+    """The product of normal forms under a^oa = 1, b^ob = a^s, b a = a^r b^q.
+
+    b^j a^k = a^(k r^j) b^(j q^k), so (a^i b^j)(a^k b^l) is
+    a^(i + k r^j) b^(j q^k + l); r^j and q^k are read off the parities, as
+    r^2 = 1 and q^2 = 1, and each wrap of b^ob adds the central a^s.
+    """
+    oa, ob, s, r, q = p
+    r_pow, q_pow = (1, r), (1, q)
+    new = tuple.__new__  # GroupElement(...) without NamedTuple's Python-level __new__
+
+    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
+        i, j = x
+        k, l = y
+        wrap, e = divmod(j * q_pow[k & 1] + l, ob)
+        return new(GroupElement, ((i + k * r_pow[j & 1] + wrap * s) % oa, e))
+
+    return mult
 
 
 def multiply(spec: GroupSpec, x: GroupElement, y: GroupElement) -> GroupElement:
-    """Normal form of the product x*y under the family's rewrite rules."""
-    return spec.record.rewrite(spec.n, spec.m)(x, y)
+    """Normal form of the product x*y in the group of `spec`."""
+    return normal_form_rule(spec.presentation())(x, y)
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -60,7 +83,7 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 @dataclass(frozen=True)
 class FiniteGroup:
     """A fully enumerated group: spec, normal forms in canonical order, and the
-    family's rewrite rule bound once to this group's parameters.
+    product rule bound once to this group's presentation.
 
     The elements must be the normal forms a^i b^j of a grid, i in
     range(oa) and j in range(ob), ordered by (b_exp, a_exp), so element k
@@ -157,9 +180,9 @@ class FiniteGroup:
 
 def enumerate_elements(spec: GroupSpec) -> FiniteGroup:
     """All normal forms, lexicographic by (b_exp, a_exp)."""
-    oa, ob = spec.generator_orders()
-    elems = tuple(GroupElement(a, b) for b in range(ob) for a in range(oa))
-    return FiniteGroup(spec, elems, spec.record.rewrite(spec.n, spec.m))
+    p = spec.presentation()
+    elems = tuple(GroupElement(a, b) for b in range(p.ob) for a in range(p.oa))
+    return FiniteGroup(spec, elems, normal_form_rule(p))
 
 
 def center(group: FiniteGroup) -> set[GroupElement]:

@@ -12,6 +12,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 from .closedform import (
     SpectrumSpec,
@@ -230,7 +231,7 @@ def integrality_record(spec: GroupSpec, kind: MatrixKind) -> IntegralityRecord:
 
 
 def search_integral(
-    specs: list[GroupSpec], kind: MatrixKind
+    specs: Iterable[GroupSpec], kind: MatrixKind
 ) -> list[IntegralityRecord]:
     """Records with predicted_integral true, plus every disagreement record.
 

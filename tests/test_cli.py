@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from argparse import Namespace
+
+from ncgspectra import ALL_KINDS, GroupSpec, MatrixKind, search_integral, verify_grid
+from ncgspectra import cli
 from ncgspectra.cli import main
 
 
@@ -464,3 +468,36 @@ def test_text_rendering_failure_writes_nothing(capsys, tmp_path, low_digit_limit
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"].startswith("ValueError: Exceeds the limit")
+
+
+def _verify_records():
+    specs = [GroupSpec.q4n(2), GroupSpec.qd(4), GroupSpec.q4n(6)]
+    reports = verify_grid(specs, ALL_KINDS, order_cap=20)
+    # ok, the refuted QD_16 D^Q and Q_24's refusal by the order cap
+    assert {(r.matched, r.error is None) for r in reports} == {
+        (True, True), (False, True), (False, False)
+    }
+    return [cli._verify_record(r) for r in reports], cli._verify_text, cli._verify_rows
+
+
+def _search_records():
+    found = search_integral(
+        (GroupSpec.q4n(n) for n in range(2, 21)), MatrixKind.DISTANCE_LAPLACIAN
+    )
+    assert len(found) == 19
+    records = [cli._search_record(r) for r in found]
+    return records, cli._search_text, lambda d: [cli._csv_key(d) + [d["witness"] or ""]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("records_of", [_verify_records, _search_records],
+                         ids=["verify", "search"])
+def test_write_of_a_generator_equals_write_of_the_list(tmp_path, fmt, records_of):
+    records, text, rows = records_of()
+    written = []
+    for k, feed in enumerate([records, (r for r in records)]):
+        target = tmp_path / f"{k}.{fmt}"
+        cli._write(Namespace(format=fmt, out=str(target)), feed, text, ["head"], rows)
+        written.append(target.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") >= len(records)

@@ -14,6 +14,8 @@ from ncgspectra import (
     is_ca_group,
     multiply,
 )
+from ncgspectra.families import Presentation
+from ncgspectra.groups import normal_form_rule
 
 E = GroupElement
 
@@ -226,3 +228,124 @@ def test_enumeration_matches_presented_order(family, n, m):
     g = enumerate_elements(spec)
     assert g.order == spec.order
     assert len(set(g.elements)) == g.order
+
+
+def power(mult, x, k):
+    acc = E(0, 0)
+    for _ in range(k):
+        acc = mult(acc, x)
+    return acc
+
+
+def inverse(g, x):
+    (inv,) = [y for y in g.elements if g.mult(x, y) == g.identity]
+    return inv
+
+
+def paper_presentation(spec, g):
+    """|G|, the orders of a and b, and the twisting relation as (lhs, rhs).
+
+    Written from the relations the paper prints, in words of a = a^1 b^0 and
+    b = a^0 b^1 multiplied by `g.mult`, not from the family's presentation
+    numbers: Q_4n has b^2 = a^n, b a = a^-1 b; QD_2^n has
+    b a b^-1 = a^(2^(n-2)-1); U_6n has a^-1 b a = b^-1; M_2mn has
+    b a b^-1 = a^-1.
+    """
+    a, b, mul, n, m = E(1, 0), E(0, 1), g.mult, spec.n, spec.m
+    if spec.family == "q4n":
+        relations = [
+            (power(mul, b, 2), power(mul, a, n)),
+            (mul(b, a), mul(inverse(g, a), b)),
+        ]
+        return 4 * n, 2 * n, 4, relations
+    if spec.family == "qd":
+        lhs = mul(mul(b, a), inverse(g, b))
+        return 2 ** n, 2 ** (n - 1), 2, [(lhs, power(mul, a, 2 ** (n - 2) - 1))]
+    if spec.family == "u6n":
+        return 6 * n, 2 * n, 3, [(mul(mul(inverse(g, a), b), a), inverse(g, b))]
+    return 2 * m * n, m, 2 * n, [(mul(mul(b, a), inverse(g, b)), inverse(g, a))]
+
+
+PAPER_SPECS = (
+    [GroupSpec.q4n(n) for n in range(2, 16)]
+    + [GroupSpec.qd(n) for n in range(4, 9)]
+    + [GroupSpec.u6n(n) for n in range(1, 13)]
+    + [GroupSpec.metacyclic(m, n) for m in range(3, 10) for n in range(1, 6)]
+)
+
+
+def spec_id(spec):
+    """A unique test id: M_2mn labels alone repeat, e.g. M_12 at (3, 2) and (6, 1)."""
+    return "-".join([spec.family, *map(str, spec.params().values())])
+
+
+@pytest.mark.parametrize("spec", PAPER_SPECS, ids=spec_id)
+def test_groups_satisfy_the_relations_the_paper_prints(spec):
+    g = enumerate_elements(spec)
+    size, a_order, b_order, relations = paper_presentation(spec, g)
+    a, b = E(1, 0), E(0, 1)
+    assert g.order == size
+    assert element_order(g, a) == a_order
+    assert element_order(g, b) == b_order
+    for lhs, rhs in relations:
+        assert lhs == rhs
+    for x in g.elements:
+        assert g.mult(power(g.mult, a, x.a_exp), power(g.mult, b, x.b_exp)) == x
+
+
+WIDE_SPECS = (
+    [GroupSpec.q4n(n) for n in range(2, 1001)]
+    + [GroupSpec.qd(n) for n in range(4, 201)]
+    + [GroupSpec.u6n(n) for n in range(1, 1001)]
+    + [GroupSpec.metacyclic(m, n) for m in range(3, 101) for n in range(1, 101)]
+)
+
+
+def test_every_presentation_meets_the_rule_preconditions():
+    for spec in WIDE_SPECS:
+        oa, ob, s, r, q = spec.presentation()
+        assert (r - 1) % oa == 0 or (q - 1) % ob == 0
+        assert (r * r - 1) % oa == 0
+        assert (q * q - 1) % ob == 0
+        assert s % oa == 0 or (q - 1) % ob == 0
+        assert s * (r - 1) % oa == 0
+        # the parities of j and k survive their reduction mod ob and oa
+        assert (r - 1) % oa == 0 or ob % 2 == 0
+        assert (q - 1) % ob == 0 or oa % 2 == 0
+
+
+@st.composite
+def presentations(draw):
+    """Any tuple meeting the rule's preconditions, with oa, ob >= 2."""
+    if draw(st.booleans()):  # q = 1: b acts on <a> by a -> a^r
+        oa, ob = draw(st.integers(2, 12)), draw(st.integers(2, 8))
+        r = draw(st.sampled_from([
+            r for r in range(oa)
+            if (r * r - 1) % oa == 0 and (ob % 2 == 0 or r == 1)
+        ]))
+        s = draw(st.sampled_from([s for s in range(oa) if s * (r - 1) % oa == 0]))
+        return Presentation(oa, ob, s, r - oa * draw(st.integers(0, 1)), 1)
+    oa, ob = 2 * draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    q = draw(st.sampled_from([q for q in range(ob) if (q * q - 1) % ob == 0]))
+    return Presentation(oa, ob, 0, 1, q - ob * draw(st.integers(0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_product_rule_gives_the_presented_group(p):
+    mult = normal_form_rule(p)
+    elems = [E(i, j) for j in range(p.ob) for i in range(p.oa)]
+    index = {x: k for k, x in enumerate(elems)}
+    table = [tuple(index[mult(x, y)] for y in elems) for x in elems]
+    n = len(elems)
+    assert table[0] == tuple(range(n))
+    for x in range(n):
+        assert sorted(table[x]) == list(range(n))
+        for y in range(n):
+            assert table[table[x][y]] == itemgetter(*table[y])(table[x])
+    a, b = E(1, 0), E(0, 1)
+    assert power(mult, a, p.oa) == E(0, 0)
+    assert power(mult, b, p.ob) == power(mult, a, p.s % p.oa)
+    assert mult(b, a) == mult(power(mult, a, p.r % p.oa), power(mult, b, p.q % p.ob))
+    for x in elems:
+        assert mult(power(mult, a, x.a_exp), power(mult, b, x.b_exp)) == x

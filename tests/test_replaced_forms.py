@@ -10,11 +10,14 @@ offset and the part size 2 as literals instead of reading the family record.
 divided |G|^2-sized products, where `rational_roots_of_quadratic` and one
 division of the scale now serve.  That function itself built two Fractions
 and compared them, where it now orders the numerators by the sign of a and
-returns an int for each root that 2a divides.  Those copies are kept here as
-references.
+returns an int for each root that 2a divides.  Each family derived its
+product by hand in a rewrite closure of its own, beside a callable giving
+the orders of a and b, where one rule now reads a five-number presentation.
+Those copies are kept here as references.
 """
 
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,12 +29,14 @@ from ncgspectra import (
     ALL_KINDS,
     EigenbasisResult,
     EigenFamily,
+    GroupElement,
     GroupSpec,
     IntMatrix,
     QuadraticEig,
     claimed_partition_sizes,
     default_grid,
     eigenbasis_q4n,
+    enumerate_elements,
     is_perfect_square,
     matrix_of_kind,
     oracle,
@@ -39,8 +44,10 @@ from ncgspectra import (
     rational_roots_of_quadratic,
 )
 from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
+from ncgspectra.groups import Rule
 
 from test_commutation import LARGE_SPECS
+from test_groups import spec_id
 
 D, DL, DQ = ALL_KINDS
 
@@ -345,3 +352,87 @@ def test_rational_roots_equal_the_two_fraction_copy(abc):
     assert [r.denominator for r in got] == [r.denominator for r in want]
     for root in got:
         assert type(root) is (int if root.denominator == 1 else Fraction)
+
+
+def reference_q4n_rewrite(n: int, m: None) -> Rule:
+    nn = 2 * n
+
+    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
+        i, j = x
+        k, l = y
+        if j == 0:
+            return GroupElement((i + k) % nn, l)
+        if l == 0:
+            return GroupElement((i - k) % nn, 1)
+        return GroupElement((i - k + n) % nn, 0)
+
+    return mult
+
+
+def reference_qd_rewrite(n: int, m: None) -> Rule:
+    mod = 2 ** (n - 1)
+    r = 2 ** (n - 2) - 1
+
+    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
+        i, j = x
+        k, l = y
+        if j == 0:
+            return GroupElement((i + k) % mod, l)
+        return GroupElement((i + r * k) % mod, (1 + l) % 2)
+
+    return mult
+
+
+def reference_u6n_rewrite(n: int, m: None) -> Rule:
+    nn = 2 * n
+
+    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
+        i, j = x
+        k, l = y
+        jj = j if k % 2 == 0 else -j
+        return GroupElement((i + k) % nn, (jj + l) % 3)
+
+    return mult
+
+
+def reference_metacyclic_rewrite(n: int, m: int) -> Rule:
+    nn = 2 * n
+
+    def mult(x: GroupElement, y: GroupElement) -> GroupElement:
+        i, j = x
+        k, l = y
+        kk = k if j % 2 == 0 else -k
+        return GroupElement((i + kk) % m, (j + l) % nn)
+
+    return mult
+
+
+# family -> (generator orders, rewrite closure), as each family record held them
+REFERENCE_REWRITES = {
+    "q4n": (lambda n, m: (2 * n, 2), reference_q4n_rewrite),
+    "qd": (lambda n, m: (2 ** (n - 1), 2), reference_qd_rewrite),
+    "u6n": (lambda n, m: (2 * n, 3), reference_u6n_rewrite),
+    "metacyclic": (lambda n, m: (m, 2 * n), reference_metacyclic_rewrite),
+}
+
+REWRITE_SPECS = (
+    [GroupSpec.q4n(n) for n in range(2, 30)]
+    + [GroupSpec.qd(n) for n in range(4, 10)]
+    + [GroupSpec.u6n(n) for n in range(1, 20)]
+    + [GroupSpec.metacyclic(m, n) for m in range(3, 12) for n in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("spec", REWRITE_SPECS, ids=spec_id)
+def test_product_rule_equals_the_rewrite_closures(spec):
+    orders, rewrite = REFERENCE_REWRITES[spec.family]
+    oa, ob = orders(spec.n, spec.m)
+    g = enumerate_elements(spec)
+    assert g.elements == tuple(GroupElement(a, b) for b in range(ob) for a in range(oa))
+    assert spec.order == oa * ob
+    reference = rewrite(spec.n, spec.m)
+    n = g.order
+    for x in g.elements:
+        products = list(map(g.mult, repeat(x, n), g.elements))
+        assert products == list(map(reference, repeat(x, n), g.elements))
+        assert {type(p) for p in products} == {GroupElement}

@@ -193,16 +193,15 @@ def _spectrum_text(records: Iterable[dict]) -> list[str]:
 
 
 def _spectrum_rows(record: dict) -> list[list]:
-    """One row per spectrum entry, or one row of char poly coefficients."""
-    head = _csv_key(record) + [record["order"]]
-    integral = str(record["integral"]).lower()
-    if "spectrum" not in record:
-        return [head + ["charpoly", " ".join(record["charpoly"]), "", "", "", integral]]
-    return [
-        head + [e["type"], e.get("value", ""), e.get("sum", ""), e.get("product", ""),
-                e["mult"], integral]
-        for e in record["spectrum"]
+    """One row per spectrum entry, then one row of char poly coefficients."""
+    cells = [
+        [e["type"], e.get("value", ""), e.get("sum", ""), e.get("product", ""), e["mult"]]
+        for e in record.get("spectrum", ())
     ]
+    if "charpoly" in record:
+        cells.append(["charpoly", " ".join(record["charpoly"]), "", "", ""])
+    head = _csv_key(record) + [record["order"]]
+    return [head + row + [str(record["integral"]).lower()] for row in cells]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

@@ -13,6 +13,7 @@ pair with a square discriminant ever appears in output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -115,7 +116,8 @@ def multipartite_distance_charpoly(
 ) -> IntPolynomial:
     """Distance characteristic polynomial of K_{n_1,...,n_k}, expanded exactly.
 
-    (x+2)^(N-k) * [ prod_i (x - n_i + 2) - sum_i n_i * prod_{j != i} (x - n_j + 2) ]
+    (x+2)^(N-k) * prod_s L_s^(c_s-1) * [ prod_s L_s - sum_s c_s*s * prod_{u != s} L_u ]
+    over the distinct sizes s, with c_s parts of size s and L_s = x - s + 2.
     """
     if isinstance(partition, PartitionStructure):
         sizes = partition.sizes
@@ -123,12 +125,15 @@ def multipartite_distance_charpoly(
         sizes = tuple(int(s) for s in partition)
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
-    linear = [IntPolynomial((2 - s, 1)) for s in sizes]
+    counts = Counter(sizes)
+    linear = [IntPolynomial((2 - s, 1)) for s in counts]
     others = products_but_one(linear)
-    bracket = linear[0] * others[0]
-    for size, other in zip(sizes, others):
-        bracket = bracket - size * other
-    return IntPolynomial((2, 1)) ** (sum(sizes) - len(sizes)) * bracket
+    scale, bracket = POLY_ONE, linear[0] * others[0]
+    for (size, count), factor, other in zip(counts.items(), linear, others):
+        bracket = bracket - count * size * other
+        scale = scale * factor ** (count - 1)
+    # the sparse factor first: `*` skips its zero coefficients (L_2 = x)
+    return scale * bracket * IntPolynomial((2, 1)) ** (sum(sizes) - len(sizes))
 
 
 def spectrum_for(spec: GroupSpec, kind: MatrixKind) -> SpectrumSpec:

@@ -1,8 +1,9 @@
 """Non-commuting graphs, complete-multipartite certification, distance matrices.
 
-A graph is one neighbour bitmask per vertex, the format of the group's cached
-commutation relation.  It is complete multipartite iff "equal or non-adjacent"
-is an equivalence relation, which certification checks on the masks.
+A graph is one neighbour bitmask per vertex: the group's commutation masks,
+re-indexed once onto the non-central elements.  It is complete multipartite iff
+"equal or non-adjacent" is an equivalence relation, which certification checks
+on the masks; the part-major graph is then built from the certified part sizes.
 
 The distance matrix is always computed by breadth-first search, even though
 the graphs at hand provably have diameter 2; this keeps the oracle honest and
@@ -71,13 +72,6 @@ class NCGraph:
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-    def permuted(self, order: Sequence[int]) -> "NCGraph":
-        """Same graph with vertices re-listed in the given index order."""
-        if sorted(order) != list(range(self.order)):
-            raise ValueError("order must be a permutation of the vertex indices")
-        verts = tuple(self.vertices[i] for i in order)
-        return NCGraph(verts, select_bits([self.neighbors[i] for i in order], order))
 
 
 @dataclass(frozen=True)
@@ -151,17 +145,17 @@ def partition_structure(graph: NCGraph) -> PartitionStructure:
 
 
 def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
-    """Certify and reorder so parts occupy consecutive index blocks.
+    """Certify, then list the vertices part by part as consecutive index blocks.
 
-    Largest part first; within a part the original vertex order is kept, so
-    the result is deterministic for a fixed input graph.  The reordered
-    graph's partition has the same parts with each class a consecutive block,
-    which is what certifying it again would return.
+    Largest part first; within a part the original vertex order is kept.  The
+    certificate proves each vertex adjacent to exactly the vertices outside its
+    part, so the rows are `complete_multipartite(sizes)`'s (the diagonal ignored).
     """
     partition = partition_structure(graph)
-    reordered = graph.permuted([i for cls in partition.classes for i in cls])
     sizes = partition.sizes
+    verts = tuple(graph.vertices[i] for cls in partition.classes for i in cls)
     blocks = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
+    reordered = NCGraph(verts, complete_multipartite(sizes).neighbors)
     return reordered, replace(partition, classes=blocks)
 
 

@@ -110,6 +110,21 @@ def test_spectrum_charpoly_flag(capsys):
     assert record["charpoly"] == ["0", "0", "-48", "-64", "-24", "0", "1"]
 
 
+@pytest.mark.parametrize("method", ["closed", "oracle"])
+def test_spectrum_charpoly_csv_keeps_entries_and_charpoly(capsys, method):
+    code, out, _ = run(
+        capsys, "spectrum", "--group", "q4n", "--n", "2", "--matrix", "d",
+        "--method", method, "--format", "csv", "--charpoly",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["type"], r["value"], r["mult"]) for r in rows[:-1]] == [
+        ("integer", "-2", "3"), ("integer", "0", "2"), ("integer", "6", "1"),
+    ]
+    assert rows[-1]["type"] == "charpoly"
+    assert rows[-1]["value"] == "0 0 -48 -64 -24 0 1"
+
+
 def test_verify_all_matched_exit_zero(capsys):
     code, out, _ = run(
         capsys, "verify", "--group", "q4n", "--n-range", "2..4", "--matrix", "all",

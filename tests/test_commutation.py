@@ -386,7 +386,11 @@ def relabelled_multipartite(draw):
     """K_{n_1,...,n_k} under a random vertex order, with one pair flipped or not."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
     graph = complete_multipartite(sizes)
-    graph = graph.permuted(draw(st.permutations(range(graph.order))))
+    order = draw(st.permutations(range(graph.order)))
+    graph = NCGraph(
+        tuple(graph.vertices[i] for i in order),
+        select_bits([graph.neighbors[i] for i in order], order),
+    )
     if graph.order > 1 and draw(st.booleans()):
         u, v = draw(st.lists(st.integers(0, graph.order - 1), min_size=2,
                              max_size=2, unique=True))

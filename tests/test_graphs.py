@@ -125,11 +125,6 @@ def test_part_major_partition_equals_recertified_graph():
         assert partition == partition_structure(reordered)
 
 
-def test_permuted_requires_permutation():
-    with pytest.raises(ValueError):
-        K2.permuted([0, 0])
-
-
 def test_distance_matrix_k2():
     assert distance_matrix(K2) == IntMatrix(((0, 1), (1, 0)))
 

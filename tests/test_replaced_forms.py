@@ -13,11 +13,16 @@ and compared them, where it now orders the numerators by the sign of a and
 returns an int for each root that 2a divides.  Each family derived its
 product by hand in a rewrite closure of its own, beside a callable giving
 the orders of a and b, where one rule now reads a five-number presentation.
-Those copies are kept here as references.
+`part_major` re-indexed every neighbour mask of the certified graph into
+part-major order, where the rows are now read from the certified part sizes;
+the distance polynomial of K_{n_1,...,n_k} took a product over every part,
+where it now takes one over the distinct part sizes.  Those copies are kept
+here as references.
 """
 
+from dataclasses import replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +37,8 @@ from ncgspectra import (
     GroupElement,
     GroupSpec,
     IntMatrix,
+    IntPolynomial,
+    NCGraph,
     QuadraticEig,
     claimed_partition_sizes,
     default_grid,
@@ -39,14 +46,20 @@ from ncgspectra import (
     enumerate_elements,
     is_perfect_square,
     matrix_of_kind,
+    multipartite_distance_charpoly,
+    non_commuting_graph,
     oracle,
+    part_major,
+    partition_structure,
     predicted_integral,
     rational_roots_of_quadratic,
 )
+from ncgspectra.exactalg import products_but_one
 from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
+from ncgspectra.graphs import select_bits
 from ncgspectra.groups import Rule
 
-from test_commutation import LARGE_SPECS
+from test_commutation import LARGE_SPECS, _certificate, relabelled_multipartite
 from test_groups import spec_id
 
 D, DL, DQ = ALL_KINDS
@@ -436,3 +449,65 @@ def test_product_rule_equals_the_rewrite_closures(spec):
         products = list(map(g.mult, repeat(x, n), g.elements))
         assert products == list(map(reference, repeat(x, n), g.elements))
         assert {type(p) for p in products} == {GroupElement}
+
+
+def reference_part_major(graph):
+    partition = partition_structure(graph)
+    order = [i for cls in partition.classes for i in cls]
+    reordered = NCGraph(
+        tuple(graph.vertices[i] for i in order),
+        select_bits([graph.neighbors[i] for i in order], order),
+    )
+    sizes = partition.sizes
+    blocks = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
+    return reordered, replace(partition, classes=blocks)
+
+
+@pytest.mark.parametrize("spec", default_grid() + LARGE_SPECS, ids=spec_id)
+def test_part_major_equals_the_permuted_copy(spec):
+    graph = non_commuting_graph(enumerate_elements(spec))
+    assert part_major(graph) == reference_part_major(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_multipartite())
+def test_part_major_equals_the_permuted_copy_on_relabelled_graphs(graph):
+    assert _certificate(part_major, graph) == _certificate(reference_part_major, graph)
+
+
+def reference_multipartite_distance_charpoly(sizes):
+    sizes = tuple(int(s) for s in sizes)
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("part sizes must be positive")
+    linear = [IntPolynomial((2 - s, 1)) for s in sizes]
+    others = products_but_one(linear)
+    bracket = linear[0] * others[0]
+    for size, other in zip(sizes, others):
+        bracket = bracket - size * other
+    return IntPolynomial((2, 1)) ** (sum(sizes) - len(sizes)) * bracket
+
+
+def _charpoly_outcome(charpoly, sizes):
+    try:
+        return charpoly(sizes)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=14))
+@example([])
+@example([0, 2])
+@example([3] + [2] * 20)
+def test_run_length_distance_charpoly_equals_the_per_part_copy(sizes):
+    assert _charpoly_outcome(multipartite_distance_charpoly, sizes) == (
+        _charpoly_outcome(reference_multipartite_distance_charpoly, sizes)
+    )
+
+
+@pytest.mark.parametrize("spec", default_grid() + LARGE_SPECS, ids=spec_id)
+def test_run_length_distance_charpoly_equals_the_per_part_copy_on_claimed_shapes(spec):
+    sizes = claimed_partition_sizes(spec)
+    assert multipartite_distance_charpoly(sizes) == (
+        reference_multipartite_distance_charpoly(sizes)
+    )

@@ -3,16 +3,27 @@
 Everything here is exact: Python integers throughout, no floating point
 anywhere.  The characteristic polynomial has two independent implementations,
 
-* `char_poly` -- reduction to upper Hessenberg form and the O(n^3) Hessenberg
-  recurrence, both modulo a prime chosen above twice an a-priori bound on
-  the coefficients, so that the symmetric residues are the exact integers.
+* `char_poly` -- an integer similarity that splits off twin indices,
+  reduction to upper Hessenberg form and the Hessenberg recurrence, the last
+  two modulo a prime chosen above twice an a-priori bound on the
+  coefficients, so that the symmetric residues are the exact integers.
+  Indices i and i+1 are twins when their columns agree outside rows i and
+  i+1 and the 2 x 2 block on them is symmetric with equal diagonal.  In the
+  part-major D, D^L and D^Q of a complete multipartite graph the maximal
+  runs of twins are its parts, except that all parts of one vertex form a
+  single run.  In each run every basis vector but the first is replaced by
+  its difference from the first, an eigenvector when M is symmetric, so the
+  reduction skips those columns and does O(r^2 n) work for r runs instead
+  of O(n^3).  The change of basis is unit triangular up to a reordering, so
+  the result is exact whatever runs are found.
   The bound is C(n, k) * t^k for the coefficient of x^(n-k), where t is the
-  ceiling of ||M||_F / sqrt(n); it holds by |e_k(lambda)| <= e_k(|lambda|),
-  Maclaurin's inequality and Schur's inequality, and t never exceeds the
-  largest absolute row sum.  The primes come from one ascending table:
-  certified Proth primes k * 2^m + 1, whose bit lengths grow by at most
-  12.5% per step from 61 to 2,453 bits, among the Mersenne primes, which
-  continue up to 2^44497 - 1, the end of the table; and
+  ceiling of ||M||_F / sqrt(n) of the input matrix; it holds by
+  |e_k(lambda)| <= e_k(|lambda|), Maclaurin's inequality and Schur's
+  inequality, and t never exceeds the largest absolute row sum.  The primes
+  come from one ascending table: certified Proth primes k * 2^m + 1, whose
+  bit lengths grow by at most 12.5% per step from 61 to 2,453 bits, among
+  the Mersenne primes, which continue up to 2^44497 - 1, the end of the
+  table; and
 * `char_poly_interpolation` -- fraction-free Bareiss determinants of xI - M at
   n+1 integer points combined by Lagrange interpolation with a single exact
   division by n! at the end.
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -305,6 +316,51 @@ def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return h
 
 
+def _twin_runs(matrix: IntMatrix) -> list[range]:
+    """The maximal runs of consecutive twin indices, covering 0..n-1 in order.
+
+    Indices i and i+1 are twins when columns i and i+1 agree outside rows i
+    and i+1, M[i][i] = M[i+1][i+1] and M[i][i+1] = M[i+1][i]; then
+    e_(i+1) - e_i is an eigenvector of M.
+    """
+    rows, cols = matrix.rows, matrix.columns
+    runs, start = [], 0
+    for i in range(matrix.n - 1):
+        a, b = cols[i], cols[i + 1]
+        if not (
+            a[:i] == b[:i]
+            and a[i + 2:] == b[i + 2:]
+            and rows[i][i] == rows[i + 1][i + 1]
+            and rows[i][i + 1] == rows[i + 1][i]
+        ):
+            runs.append(range(start, i + 1))
+            start = i + 1
+    runs.append(range(start, matrix.n))
+    return runs
+
+
+def _twin_similar(matrix: IntMatrix) -> Sequence[Sequence[int]]:
+    """The rows of T^-1 M T, an integer matrix similar to M, for the twin runs of M.
+
+    Each run's first index s keeps f_s = e_s; every other index v of the run
+    gets f_v = e_v - e_s.  The differences come first and the leaders last.
+    Column f_v of M T is column v minus column s.  T is unit triangular up to
+    that order, so T^-1 is integral: in T^-1 (M T) a leader's row is the sum
+    of its run's rows.  Without twins T = I and the rows of M are returned as
+    they are.
+    """
+    runs = _twin_runs(matrix)
+    if len(runs) == matrix.n:
+        return matrix.rows
+    cols = matrix.columns
+    moved = [tuple(map(sub, cols[v], cols[run[0]])) for run in runs for v in run[1:]]
+    moved += [cols[run[0]] for run in runs]
+    rows = list(zip(*moved))
+    return [rows[v] for run in runs for v in run[1:]] + [
+        tuple(map(sum, zip(*rows[run.start:run.stop]))) for run in runs
+    ]
+
+
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
     """det(xI - M), monic of degree n, exact, in O(n^3) operations modulo a prime.
 
@@ -317,12 +373,20 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     largest absolute row sum, t <= rho, so B never exceeds
     max_k C(n, k) * rho^k.  The work is done modulo the smallest tabulated
     prime p > 2B, where the symmetric residues in (-p/2, p/2] are the
-    integer coefficients themselves.  M is reduced to upper Hessenberg form
-    H by a similarity mod p, and det(xI - H) follows from the recurrence
-    over its leading principal submatrices (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9).  Raises ArithmeticError, rather
-    than return an unproven result, when 2B reaches the largest tabulated
-    prime, 2^44497 - 1.
+    integer coefficients themselves.  B and p are taken from M itself.
+
+    M is then replaced by the integer matrix T^-1 M T of `_twin_similar`,
+    which has the same characteristic polynomial whatever runs of twins it
+    used, because T is integral with determinant +-1.  When M is symmetric
+    each difference column is a multiple of its own basis vector: the
+    Hessenberg reduction finds no pivot below it, and the recurrence's
+    chain of subdiagonal entries stops at once.  With r runs the work is
+    O(r^2 n), plus O(n^2) for the similarity and the linear factors.  That
+    matrix is reduced to upper Hessenberg form H by a similarity mod p, and
+    det(xI - H) follows from the recurrence over its leading principal
+    submatrices (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.2.9).  Raises ArithmeticError, rather than return an unproven
+    result, when 2B reaches the largest tabulated prime, 2^44497 - 1.
     """
     n = matrix.n
     if n == 0:
@@ -339,7 +403,7 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
             f"tabulated prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
         )
     p = _PRIMES[index]
-    h = _hessenberg_mod(rows, p)
+    h = _hessenberg_mod(_twin_similar(matrix), p)
     # polys[m] = det(xI - H_m) for the leading m x m block H_m, ascending
     # coefficients mod p; H_{m+1} adds column m, whose entry h[i][m] enters
     # with the subdiagonal product h[i+1][i] ... h[m][m-1].

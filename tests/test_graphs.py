@@ -93,10 +93,18 @@ def test_partition_classes_cover_and_match_sizes():
 
 
 def test_partition_reconstruction_reproduces_adjacency():
-    for spec in [GroupSpec.q4n(3), GroupSpec.u6n(2), GroupSpec.metacyclic(5, 2)]:
-        reordered, partition = part_major(graph_of(spec))
-        rebuilt = complete_multipartite(partition.sizes)
-        assert rebuilt.neighbors == reordered.neighbors
+    # part-major index a is input vertex order[a]; every bit of every
+    # reordered row must be the input graph's bit for that pair
+    for spec in default_grid():
+        graph = graph_of(spec)
+        reordered, _ = part_major(graph)
+        order = [v for cls in partition_structure(graph).classes for v in cls]
+        assert reordered.vertices == tuple(graph.vertices[v] for v in order)
+        for a, row in enumerate(reordered.neighbors):
+            source = graph.neighbors[order[a]]
+            assert [row >> b & 1 for b in range(len(order))] == [
+                source >> v & 1 for v in order
+            ]
 
 
 def test_not_complete_multipartite_rejected():

@@ -3,21 +3,21 @@
 Everything here is exact: Python integers throughout, no floating point
 anywhere.  The characteristic polynomial has two independent implementations,
 
-* `char_poly` -- an integer similarity that splits off twin indices,
-  reduction to upper Hessenberg form and the Hessenberg recurrence, the last
-  two modulo a prime chosen above twice an a-priori bound on the
+* `char_poly` -- the checked eigenvalues of twin indices split off, then
+  a dense engine on what is left.  Indices i and i+1 are twins when their
+  columns agree outside rows i and i+1 and the 2 x 2 block on them is
+  symmetric with equal diagonal.  In each maximal run of twins, every
+  difference e_v - e_s from the run's first index s is checked to be an
+  eigenvector, column by column; if all are, they split off and the same
+  step repeats on the leader block of the runs' first indices.  For the
+  part-major D, D^L and D^Q of a complete multipartite graph the runs are
+  its parts, with all parts of one vertex as a single run; for the four
+  families here the recursion ends in a block of order at most 2.  That
+  block is reduced to upper Hessenberg form, and the Hessenberg recurrence
+  is run, modulo a prime above twice an a-priori bound on the block's
   coefficients, so that the symmetric residues are the exact integers.
-  Indices i and i+1 are twins when their columns agree outside rows i and
-  i+1 and the 2 x 2 block on them is symmetric with equal diagonal.  In the
-  part-major D, D^L and D^Q of a complete multipartite graph the maximal
-  runs of twins are its parts, except that all parts of one vertex form a
-  single run.  In each run every basis vector but the first is replaced by
-  its difference from the first, an eigenvector when M is symmetric, so the
-  reduction skips those columns and does O(r^2 n) work for r runs instead
-  of O(n^3).  The change of basis is unit triangular up to a reordering, so
-  the result is exact whatever runs are found.
   The bound is C(n, k) * t^k for the coefficient of x^(n-k), where t is the
-  ceiling of ||M||_F / sqrt(n) of the input matrix; it holds by
+  ceiling of ||M||_F / sqrt(n) of the block; it holds by
   |e_k(lambda)| <= e_k(|lambda|), Maclaurin's inequality and Schur's
   inequality, and t never exceeds the largest absolute row sum.  The primes
   come from one ascending table: certified Proth primes k * 2^m + 1, whose
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -339,55 +340,56 @@ def _twin_runs(matrix: IntMatrix) -> list[range]:
     return runs
 
 
-def _twin_similar(matrix: IntMatrix) -> Sequence[Sequence[int]]:
-    """The rows of T^-1 M T, an integer matrix similar to M, for the twin runs of M.
-
-    Each run's first index s keeps f_s = e_s; every other index v of the run
-    gets f_v = e_v - e_s.  The differences come first and the leaders last.
-    Column f_v of M T is column v minus column s.  T is unit triangular up to
-    that order, so T^-1 is integral: in T^-1 (M T) a leader's row is the sum
-    of its run's rows.  Without twins T = I and the rows of M are returned as
-    they are.
-    """
-    runs = _twin_runs(matrix)
-    if len(runs) == matrix.n:
-        return matrix.rows
-    cols = matrix.columns
-    moved = [tuple(map(sub, cols[v], cols[run[0]])) for run in runs for v in run[1:]]
-    moved += [cols[run[0]] for run in runs]
-    rows = list(zip(*moved))
-    return [rows[v] for run in runs for v in run[1:]] + [
-        tuple(map(sum, zip(*rows[run.start:run.stop]))) for run in runs
-    ]
+def _twin_eigenvalue(cols: Sequence[Sequence[int]], s: int, v: int) -> int | None:
+    """lambda with column v - column s = lambda (e_v - e_s) for s < v, else None."""
+    a, b = cols[s], cols[v]
+    lam = b[v] - a[v]
+    same = a[:s] == b[:s] and a[s + 1:v] == b[s + 1:v] and a[v + 1:] == b[v + 1:]
+    return lam if same and a[s] - b[s] == lam else None
 
 
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
-    """det(xI - M), monic of degree n, exact, in O(n^3) operations modulo a prime.
+    """det(xI - M), monic of degree n, exact: checked twin eigenvalues, then one dense block.
 
+    For each run of `_twin_runs` with leader s and each other index v of it,
+    `_twin_eigenvalue` checks that column v minus column s is
+    lambda_v (e_v - e_s).  If every check holds, M is block upper triangular
+    in the basis of those differences and the leaders, so det(xI - M) =
+    prod_v (x - lambda_v) * det(xI - B) for the leader block B, where B[i][j]
+    is the sum over run i of column s_j: for symmetric M, the transpose of
+    the equitable-partition quotient (Godsil & Royle, Algebraic Graph
+    Theory, 9.3).  The step repeats on B until no run is longer than one
+    index or a check fails, which needs a non-symmetric block.  Each split
+    is checked, so the result is exact for any input.
+
+    The last block, M of order n from here on, goes to the dense engine.
     The coefficient of x^(n-k) is (-1)^k e_k of the eigenvalues, so its
     modulus is at most e_k(|lambda|) <= C(n, k) * mean(|lambda|)^k by
     Maclaurin's inequality.  The mean is at most the root mean square, which
     by Schur's inequality is at most ||M||_F / sqrt(n).  So with the integer
     t = ceil(sqrt(ceil(||M||_F^2 / n))) every coefficient is bounded by
-    B = max_k C(n, k) * t^k.  Since ||M||_F^2 <= n * rho^2, where rho is the
-    largest absolute row sum, t <= rho, so B never exceeds
+    beta = max_k C(n, k) * t^k.  Since ||M||_F^2 <= n * rho^2, where rho is
+    the largest absolute row sum, t <= rho, so beta never exceeds
     max_k C(n, k) * rho^k.  The work is done modulo the smallest tabulated
-    prime p > 2B, where the symmetric residues in (-p/2, p/2] are the
-    integer coefficients themselves.  B and p are taken from M itself.
-
-    M is then replaced by the integer matrix T^-1 M T of `_twin_similar`,
-    which has the same characteristic polynomial whatever runs of twins it
-    used, because T is integral with determinant +-1.  When M is symmetric
-    each difference column is a multiple of its own basis vector: the
-    Hessenberg reduction finds no pivot below it, and the recurrence's
-    chain of subdiagonal entries stops at once.  With r runs the work is
-    O(r^2 n), plus O(n^2) for the similarity and the linear factors.  That
-    matrix is reduced to upper Hessenberg form H by a similarity mod p, and
-    det(xI - H) follows from the recurrence over its leading principal
-    submatrices (Cohen, A Course in Computational Algebraic Number Theory,
-    Alg. 2.2.9).  Raises ArithmeticError, rather than return an unproven
-    result, when 2B reaches the largest tabulated prime, 2^44497 - 1.
+    prime p > 2 beta, where the symmetric residues in (-p/2, p/2] are the
+    integer coefficients themselves.  M is reduced to upper Hessenberg form
+    H by a similarity mod p, and det(xI - H) follows from the recurrence
+    over its leading principal submatrices (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9).  Raises ArithmeticError, rather
+    than return an unproven result, when 2 beta reaches the largest
+    tabulated prime, 2^44497 - 1.  That polynomial is then multiplied by
+    each (x - lambda)^m, expanded binomially.
     """
+    roots: Counter[int] = Counter()
+    while len(runs := _twin_runs(matrix)) < matrix.n:
+        cols = matrix.columns
+        lams = [_twin_eigenvalue(cols, run.start, v) for run in runs for v in run[1:]]
+        if None in lams:
+            break
+        roots.update(lams)
+        matrix = IntMatrix(tuple(
+            tuple(sum(cols[c.start][r.start:r.stop]) for c in runs) for r in runs
+        ))
     n = matrix.n
     if n == 0:
         return POLY_ONE
@@ -403,7 +405,7 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
             f"tabulated prime 2^{_MERSENNE_EXPONENTS[-1]} - 1"
         )
     p = _PRIMES[index]
-    h = _hessenberg_mod(_twin_similar(matrix), p)
+    h = _hessenberg_mod(rows, p)
     # polys[m] = det(xI - H_m) for the leading m x m block H_m, ascending
     # coefficients mod p; H_{m+1} adds column m, whose entry h[i][m] enters
     # with the subdiagonal product h[i+1][i] ... h[m][m-1].
@@ -424,7 +426,10 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
                     nxt[k] -= c * v
         polys.append([v % p for v in nxt])
     half = p // 2
-    return IntPolynomial(v - p if v > half else v for v in polys[n])
+    poly = IntPolynomial(v - p if v > half else v for v in polys[n])
+    for lam, m in roots.items():
+        poly = poly * IntPolynomial.x_minus(lam) ** m
+    return poly
 
 
 def products_but_one(factors: Sequence[IntPolynomial]) -> list[IntPolynomial]:

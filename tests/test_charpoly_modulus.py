@@ -6,6 +6,8 @@ that bound.  It now takes t = ceil(sqrt(ceil(||M||_F^2 / n))), which never
 exceeds rho, in place of rho and picks from a table where certified Proth
 primes fill the Mersenne gaps.  The old engine is kept here as the
 reference: only the size of the modulus may change, never a coefficient.
+The bound and the prime are now taken from the block left after the checked
+twin split, which on the paper's matrices has order at most 2.
 """
 
 import math
@@ -26,6 +28,8 @@ from ncgspectra import (
     oracle,
 )
 from ncgspectra.exactalg import _MERSENNE_EXPONENTS, _PRIMES, _PROTH_PRIMES
+
+from test_twin_similarity import dense_calls
 
 D = ALL_KINDS[0]
 
@@ -155,8 +159,25 @@ def test_coefficients_within_the_frobenius_bound(rows):
 
 
 def test_char_poly_refuses_past_the_table_end():
+    # one twin run: its eigenvalue splits off, and the 1 x 1 block's bound
+    # of 2^30000 is within the table
+    assert char_poly(IntMatrix(((2**30000, 0), (0, 2**30000)))) == (
+        IntPolynomial.x_minus(2**30000) ** 2
+    )
+    # no twins: the whole matrix's bound of about 2^60000 passes 2^44497 - 1
     with pytest.raises(ArithmeticError):
-        char_poly(IntMatrix(((2**30000, 0), (0, 2**30000))))
+        char_poly(IntMatrix(((2**30000, 1), (0, 2**30000 + 1))))
+
+
+@pytest.mark.parametrize(
+    "spec", default_grid() + [GroupSpec.qd(8), GroupSpec.q4n(64)], ids=lambda s: s.label()
+)
+def test_dense_engine_gets_a_block_of_order_two_and_the_smallest_prime(spec):
+    """The bound and the prime come from the block left after the twin split."""
+    staged = oracle(spec)
+    for kind in ALL_KINDS:
+        _, calls = dense_calls(matrix_of_kind(staged.distance, kind))
+        assert [(len(block) <= 2, p.bit_length()) for block, p in calls] == [(True, 61)]
 
 
 @pytest.mark.parametrize("spec", default_grid(), ids=lambda s: s.label())

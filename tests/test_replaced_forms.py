@@ -16,13 +16,16 @@ the orders of a and b, where one rule now reads a five-number presentation.
 `part_major` re-indexed every neighbour mask of the certified graph into
 part-major order, where the rows are now read from the certified part sizes;
 the distance polynomial of K_{n_1,...,n_k} took a product over every part,
-where it now takes one over the distinct part sizes.  Those copies are kept
-here as references.
+where it now takes one over the distinct part sizes.  `char_poly` passed
+the whole integer similarity T^-1 M T of its twin runs to the Hessenberg
+reduction, where it now splits off each checked twin eigenvalue and
+recurses on the leader block.  Those copies are kept here as references.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +43,7 @@ from ncgspectra import (
     IntPolynomial,
     NCGraph,
     QuadraticEig,
+    char_poly,
     claimed_partition_sizes,
     default_grid,
     eigenbasis_q4n,
@@ -54,13 +58,14 @@ from ncgspectra import (
     predicted_integral,
     rational_roots_of_quadratic,
 )
-from ncgspectra.exactalg import products_but_one
+from ncgspectra.exactalg import _twin_runs, products_but_one
 from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
 from ncgspectra.graphs import select_bits
 from ncgspectra.groups import Rule
 
 from test_commutation import LARGE_SPECS, _certificate, relabelled_multipartite
 from test_groups import spec_id
+from test_twin_similarity import planted_twins
 
 D, DL, DQ = ALL_KINDS
 
@@ -511,3 +516,42 @@ def test_run_length_distance_charpoly_equals_the_per_part_copy_on_claimed_shapes
     assert multipartite_distance_charpoly(sizes) == (
         reference_multipartite_distance_charpoly(sizes)
     )
+
+
+def reference_twin_similar(matrix):
+    """The rows of T^-1 M T, an integer matrix similar to M, for the twin runs of M.
+
+    Each run's first index s keeps f_s = e_s; every other index v of the run
+    gets f_v = e_v - e_s.  The differences come first and the leaders last.
+    Column f_v of M T is column v minus column s.  T is unit triangular up to
+    that order, so T^-1 is integral: in T^-1 (M T) a leader's row is the sum
+    of its run's rows.  Without twins T = I and the rows of M are returned as
+    they are.
+    """
+    runs = _twin_runs(matrix)
+    if len(runs) == matrix.n:
+        return matrix.rows
+    cols = matrix.columns
+    moved = [tuple(map(sub, cols[v], cols[run[0]])) for run in runs for v in run[1:]]
+    moved += [cols[run[0]] for run in runs]
+    rows = list(zip(*moved))
+    return [rows[v] for run in runs for v in run[1:]] + [
+        tuple(map(sum, zip(*rows[run.start:run.stop]))) for run in runs
+    ]
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=spec_id)
+def test_char_poly_equals_that_of_the_twin_similarity(spec):
+    distance = oracle(spec).distance
+    for kind in ALL_KINDS:
+        matrix = matrix_of_kind(distance, kind)
+        similar = IntMatrix.from_rows(reference_twin_similar(matrix))
+        assert char_poly(similar) == char_poly(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_twins())
+def test_char_poly_equals_that_of_the_twin_similarity_on_planted_twins(case):
+    matrix = IntMatrix.from_rows(case[0])
+    similar = IntMatrix.from_rows(reference_twin_similar(matrix))
+    assert char_poly(similar) == char_poly(matrix)

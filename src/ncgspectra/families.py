@@ -75,9 +75,11 @@ RawSpectrum = list[tuple[EigDesc, int]]
 class Presentation(NamedTuple):
     """a^oa = 1, b^ob = a^s and b a = a^r b^q, with normal forms a^i b^j.
 
-    The product rule needs r = 1 or q = 1, r^2 = 1 (mod oa) and q^2 = 1
-    (mod ob), with ob even unless r = 1 and oa even unless q = 1; s = 0
-    unless q = 1, and s (r - 1) = 0 (mod oa), so that a^s is central.
+    The product rule needs oa, ob >= 1, r = 1 or q = 1, r^2 = 1 (mod oa)
+    and q^2 = 1 (mod ob), with ob even unless r = 1 and oa even unless
+    q = 1; s = 0 unless q = 1, and s (r - 1) = 0 (mod oa), so that a^s is
+    central.  r, s are read mod oa and q mod ob; `groups.normal_form_rule`
+    raises ValueError naming the first of these that a tuple breaks.
     """
 
     oa: int
@@ -90,7 +92,8 @@ class Presentation(NamedTuple):
 class Family(NamedTuple):
     """Everything stated about one family; each callable takes (n, m).
 
-    `presentation` gives the group, read by `groups.normal_form_rule`.
+    `presentation` gives the group; `groups.FiniteGroup` reads its product
+    rule, commutation masks and centre from it.
     `parts` gives the claimed non-commuting graph K_{b, s x k} as (b, s, k):
     one part of size b >= s and k parts of size s.  `closed_forms` maps each
     matrix kind to its raw closed-form spectrum.  `t_quadratic` is the

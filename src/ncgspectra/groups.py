@@ -1,31 +1,56 @@
-"""Finite groups of the four families, enumerated with normal-form arithmetic.
+"""Finite groups of the four families, read from their presentations.
 
 Each family's presentation lives in its record in `ncgspectra.families` as
-five numbers; this module holds the one product rule that reads every group
-from them, enumerates the normal forms, binds the rule once per group, and
-computes centres, centralizers and the CA property.
+five numbers, `Presentation(oa, ob, s, r, q)`.  A `FiniteGroup` holds one,
+and everything here is read from it: the normal forms a^i b^j, the product
+rule, the commutation masks and the centre.  The product and the
+commutation relation thus come from one decision and cannot disagree.
 
-Everything is read from the regular representation of the two generators
-(Cayley's theorem): the permutations L_a, L_b, R_a and R_b of the element
-indices, y -> a*y, b*y, y*a and y*b, cost 4|G| products of
-`FiniteGroup.mult`.  The centre is read off them directly.  The commutation
-relation is one integer bitmask per element: for x = a^i b^j the
-permutations L_x and R_x are composed from those of the generators, one
-element after the other, and x commutes with y iff L_x[y] == R_x[y].
-Centralizers, the CA check and the non-commuting graph all read those masks.
+Under the rule's preconditions a^i b^j and a^k b^l commute iff
+
+    k (r^j - 1) = i (r^l - 1) (mod oa)  and  j (q^k - 1) = l (q^i - 1) (mod ob),
+
+where the first congruence holds for every pair when r = 1 and the second
+when q = 1.  With r^2 = 1 and q^2 = 1 each power depends on a parity only,
+so every block of a mask is the solution set of one linear congruence: all
+of the block, none of it, or an arithmetic progression.  The masks are
+built from such progressions with O(1) big-integer operations per element,
+and the centre from the same congruences at y = a and y = b with small
+integers; no product is taken.  Centralizers, the CA check and the
+non-commuting graph all read the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import eq, itemgetter
-from typing import Callable, Iterator, NamedTuple
+from itertools import chain
+from math import gcd
+from typing import Callable, Iterator
 
 from .families import GroupElement, GroupSpec, Presentation
 
 Rule = Callable[[GroupElement, GroupElement], GroupElement]
+
+
+def _check_presentation(p: Presentation) -> None:
+    """Raise ValueError naming the first precondition of `Presentation` that p breaks."""
+    oa, ob, s, r, q = p
+    if oa < 1 or ob < 1:
+        raise ValueError(f"{p!r} breaks the precondition oa >= 1 and ob >= 1")
+    r_one, q_one = (r - 1) % oa == 0, (q - 1) % ob == 0
+    checks = (
+        (r_one or q_one, "r = 1 (mod oa) or q = 1 (mod ob)"),
+        ((r * r - 1) % oa == 0, "r^2 = 1 (mod oa)"),
+        ((q * q - 1) % ob == 0, "q^2 = 1 (mod ob)"),
+        (r_one or ob % 2 == 0, "ob even unless r = 1 (mod oa)"),
+        (q_one or oa % 2 == 0, "oa even unless q = 1 (mod ob)"),
+        (q_one or s % oa == 0, "s = 0 (mod oa) unless q = 1 (mod ob)"),
+        (s * (r - 1) % oa == 0, "s (r - 1) = 0 (mod oa)"),
+    )
+    for holds, condition in checks:
+        if not holds:
+            raise ValueError(f"{p!r} breaks the precondition {condition}")
 
 
 def normal_form_rule(p: Presentation) -> Rule:
@@ -33,10 +58,13 @@ def normal_form_rule(p: Presentation) -> Rule:
 
     b^j a^k = a^(k r^j) b^(j q^k), so (a^i b^j)(a^k b^l) is
     a^(i + k r^j) b^(j q^k + l); r^j and q^k are read off the parities, as
-    r^2 = 1 and q^2 = 1, and each wrap of b^ob adds the central a^s.
+    r^2 = 1 and q^2 = 1, and each wrap of b^ob adds the central a^s.  q is
+    reduced mod ob first, so the wraps do not depend on its representative.
+    ValueError names the first broken precondition of `Presentation`.
     """
+    _check_presentation(p)
     oa, ob, s, r, q = p
-    r_pow, q_pow = (1, r), (1, q)
+    r_pow, q_pow = (1, r), (1, q % ob)
     new = tuple.__new__  # GroupElement(...) without NamedTuple's Python-level __new__
 
     def mult(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -61,45 +89,78 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class RegularPermutations(NamedTuple):
-    """The generators' regular permutations of a group, as index tuples.
+def _progression(step: int, count: int) -> int:
+    """Bits 0, step, 2 step, ..., (count - 1) step."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
 
-    `left_a[y]` is the index of a*y and `right_a[y]` that of y*a, and so for
-    b; the elements form the grid of `a_order` by `b_order` normal forms.
+
+def _masks_q_one(oa: int, ob: int, r: int) -> list[int]:
+    """Masks when q = 1: the a-congruence k (r^j - 1) = i (r^l - 1) (mod oa).
+
+    With t = oa / gcd(r - 1, oa) it reads, by the parities of j and l:
+    j, l even: every k; j even, l odd: every k if t | i, else none;
+    j odd, l even: t | k; j, l odd: k = i (mod t).  So block l of a mask is
+    one of two oa-bit patterns by the parity of l, tiled over the blocks by
+    the even-block and odd-block progressions, and a mask depends on
+    (j mod 2, i mod t) only.
     """
+    g = gcd(r - 1, oa)
+    t = oa // g
+    block = (1 << oa) - 1
+    every_t = _progression(t, g)
+    even_blocks = _progression(2 * oa, (ob + 1) // 2)
+    odd_blocks = _progression(2 * oa, ob // 2) << oa
+    partial = block * even_blocks
+    j_even = [partial | block * odd_blocks] + [partial] * (t - 1)
+    j_odd = [every_t * even_blocks | (every_t << u) * odd_blocks for u in range(t)]
+    # entry i of a row is entry i mod t of these, as t divides oa
+    return (j_even * g + j_odd * g) * (ob // 2) + j_even * g * (ob % 2)
 
-    a_order: int
-    b_order: int
-    left_a: tuple[int, ...]
-    left_b: tuple[int, ...]
-    right_a: tuple[int, ...]
-    right_b: tuple[int, ...]
 
+def _masks_r_one(oa: int, ob: int, q: int) -> list[int]:
+    """Masks when r = 1 and s = 0: the b-congruence j (q^k - 1) = l (q^i - 1) (mod ob).
 
-# bytes of 0/1 -> ASCII binary digits
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+    With t = ob / gcd(q - 1, ob) it reads, by the parities of i and k:
+    i, k even: every l; i even, k odd: every l if t | j, else none;
+    i odd, k even: t | l; i, k odd: l = j (mod t).  So a mask is the even-k
+    and the odd-k bits of a block, each tiled over a progression of blocks,
+    and it depends on (i mod 2, j mod t) only; oa is even as q != 1.
+    """
+    h = gcd(q - 1, ob)
+    t = ob // h
+    even_k = _progression(2, oa // 2)
+    odd_k = even_k << 1
+    blocks_t = _progression(oa * t, h)
+    partial = even_k * _progression(oa, ob)
+    i_even = [partial | odd_k * _progression(oa, ob)] + [partial] * (t - 1)
+    i_odd = [even_k * blocks_t | odd_k * (blocks_t << oa * u) for u in range(t)]
+    rows = ([even, odd] * (oa // 2) for even, odd in zip(i_even, i_odd))
+    # row j is row j mod t of these, as t divides ob
+    return list(chain.from_iterable(rows)) * h
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A fully enumerated group: spec, normal forms in canonical order, and the
-    product rule bound once to this group's presentation.
+    """A fully enumerated group: its spec, its presentation and its normal forms.
 
-    The elements must be the normal forms a^i b^j of a grid, i in
-    range(oa) and j in range(ob), ordered by (b_exp, a_exp), so element k
-    is a^(k mod oa) b^(k div oa).  Here oa and ob are read from the elements
-    (one more than the largest exponents), and `mult` must agree with the
-    labels: a * a^i b^j = a^(i+1) b^j for i + 1 < oa and
-    a^i b^j * b = a^i b^(j+1) for j + 1 < ob, where a = a^1 b^0 and
-    b = a^0 b^1 (the identity when that exponent range is a single value).
-    Then a and b generate the group.  The contract is checked when the
-    regular representation is first read, and ValueError names the first
-    element that breaks it.
+    The presentation defines the group and the spec names it.  The elements
+    are the normal forms a^i b^j, i in range(oa) and j in range(ob), ordered
+    by (b_exp, a_exp), so element k is a^(k mod oa) b^(k div oa).  `mult`
+    is `normal_form_rule(presentation)`, and the commutation masks and the
+    centre read the same presentation's congruences.  The constructor
+    raises ValueError if the presentation breaks a precondition of the rule.
     """
 
     spec: GroupSpec
-    elements: tuple[GroupElement, ...]
-    mult: Rule = field(compare=False, repr=False)
+    presentation: Presentation
+    elements: tuple[GroupElement, ...] = field(init=False)
+    mult: Rule = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        p = self.presentation
+        object.__setattr__(self, "mult", normal_form_rule(p))
+        elems = tuple(GroupElement(a, b) for b in range(p.ob) for a in range(p.oa))
+        object.__setattr__(self, "elements", elems)
 
     @property
     def order(self) -> int:
@@ -115,90 +176,37 @@ class FiniteGroup:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def regular(self) -> RegularPermutations:
-        """L_a, L_b, R_a and R_b from 4|G| products, after checking the contract."""
-        elems = self.elements
-        if not elems:
-            raise ValueError("a group has at least one element")
-        n = len(elems)
-        oa = 1 + max(x.a_exp for x in elems)
-        ob = 1 + max(x.b_exp for x in elems)
-        for k in range(max(n, oa * ob)):
-            x = elems[k] if k < n else "missing"
-            y = (k % oa, k // oa) if k < oa * ob else None
-            if x != y:
-                want = f"expected {GroupElement(*y)!r}" if y else "past the end"
-                raise ValueError(
-                    f"element {k} is {x}, {want} of the {oa} x {ob} normal-form grid"
-                )
-        at, mult = self.index.__getitem__, self.mult
-        a, b = elems[1 % oa], elems[oa % n]
-        lefts = [map(mult, repeat(g, n), elems) for g in (a, b)]
-        rights = [map(mult, elems, repeat(g, n)) for g in (a, b)]
-        try:
-            perms = [tuple(map(at, p)) for p in lefts + rights]
-        except KeyError as exc:
-            raise ValueError(f"product {exc.args[0]!r} is not an element") from None
-        left_a, _, _, right_b = perms
-        for k, x in enumerate(elems):
-            if x.a_exp + 1 < oa and left_a[k] != k + 1:
-                raise ValueError(
-                    f"a * {x!r} is {elems[left_a[k]]!r}, expected {elems[k + 1]!r}"
-                )
-            if x.b_exp + 1 < ob and right_b[k] != k + oa:
-                raise ValueError(
-                    f"{x!r} * b is {elems[right_b[k]]!r}, expected {elems[k + oa]!r}"
-                )
-        return RegularPermutations(oa, ob, *perms)
-
-    @cached_property
     def commuting_masks(self) -> tuple[int, ...]:
         """Bit y of entry x is set iff elements x and y commute.
 
-        Walks x = a^i b^j in index order with L_x = L_a^i o L_b^j and
-        R_x = R_b^j o R_a^i, each one composition from the previous element,
-        and compares them at C level: bit y is L_x[y] == R_x[y].  Memory
-        beyond the masks is a few permutations, never a Cayley table.
+        Read from the presentation's congruences (module docstring): the
+        a-congruence when q = 1, else the b-congruence, as then r = 1 and
+        s = 0.  Entries with equal masks share one integer.
         """
-        reg = self.regular
-        # itemgetter(*g)(f) is f o g, the permutation f applied after g
-        after_left_b = itemgetter(*reg.left_b)
-        after_right_a = itemgetter(*reg.right_a)
-        after_right_b = itemgetter(*reg.right_b)
-        masks = []
-        left_bj = right_bj = tuple(range(self.order))
-        for _ in range(reg.b_order):
-            left, right = left_bj, right_bj
-            for i in range(reg.a_order):
-                if i:
-                    left, right = itemgetter(*left)(reg.left_a), after_right_a(right)
-                bits = bytes(map(eq, left, right)).translate(_DIGITS)
-                masks.append(int(bits[::-1], 2))
-            left_bj, right_bj = after_left_b(left_bj), after_right_b(right_bj)
-        return tuple(masks)
+        oa, ob, _, r, q = self.presentation
+        if (q - 1) % ob == 0:
+            return tuple(_masks_q_one(oa, ob, r))
+        return tuple(_masks_r_one(oa, ob, q))
 
 
 def enumerate_elements(spec: GroupSpec) -> FiniteGroup:
-    """All normal forms, lexicographic by (b_exp, a_exp)."""
-    p = spec.presentation()
-    elems = tuple(GroupElement(a, b) for b in range(p.ob) for a in range(p.oa))
-    return FiniteGroup(spec, elems, normal_form_rule(p))
+    """All normal forms of the spec's presentation, lexicographic by (b_exp, a_exp)."""
+    return FiniteGroup(spec, spec.presentation())
 
 
 def center(group: FiniteGroup) -> set[GroupElement]:
     """Elements commuting with both generators a and b, which generate the group.
 
-    Read from the regular representation: x is central iff a*x == x*a and
-    b*x == x*b, that is, L_a[x] == R_a[x] and L_b[x] == R_b[x].
+    The congruences at y = a (k = 1, l = 0) and y = b (k = 0, l = 1) make
+    a^i b^j central iff r^j = 1 and j (q - 1) = 0 (mod ob), and i (r - 1) = 0
+    (mod oa) and q^i = 1, conditions on j and on i apart; the masks are not
+    built.
     """
-    reg = group.regular
-    return {
-        x
-        for x, la, ra, lb, rb in zip(
-            group.elements, reg.left_a, reg.right_a, reg.left_b, reg.right_b
-        )
-        if la == ra and lb == rb
-    }
+    oa, ob, _, r, q = group.presentation
+    r_one, q_one = (r - 1) % oa == 0, (q - 1) % ob == 0
+    a_exps = [i for i in range(oa) if i * (r - 1) % oa == 0 and (q_one or i % 2 == 0)]
+    b_exps = [j for j in range(ob) if j * (q - 1) % ob == 0 and (r_one or j % 2 == 0)]
+    return {GroupElement(i, j) for j in b_exps for i in a_exps}
 
 
 def centralizer(group: FiniteGroup, x: GroupElement) -> set[GroupElement]:

@@ -1,4 +1,4 @@
-"""The commutation-mask paths against the brute-force implementations they replaced.
+"""The commutation-mask paths against the implementations they replaced.
 
 The references below multiply pair by pair: the commutation masks by both
 products of every unordered pair, the centre by a full scan, the CA check by
@@ -7,10 +7,22 @@ of every ordered pair, and the distances by a deque BFS.  The partition is
 certified by a BFS over the complement plus a check of every pair inside and
 across its components.  The references read the graph's neighbour masks one
 bit at a time.
+
+`RegularGroup` is the regular-representation path that built the masks and
+the centre before they were read from the presentation's congruences.  It
+takes any product rule on a normal-form grid, so it also serves groups that
+no `Presentation` expresses (S_4, split metacyclic groups with r of order
+greater than 2), through the same `centralizer`, `is_ca_group` and
+`non_commuting_graph`.
 """
 
 import itertools
 from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from operator import eq, itemgetter
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +58,138 @@ LARGE_SPECS = [
     GroupSpec.metacyclic(9, 9),
     GroupSpec.metacyclic(12, 7),
 ]
+
+
+class RegularPermutations(NamedTuple):
+    """The generators' regular permutations of a group, as index tuples.
+
+    `left_a[y]` is the index of a*y and `right_a[y]` that of y*a, and so for
+    b; the elements form the grid of `a_order` by `b_order` normal forms.
+    """
+
+    a_order: int
+    b_order: int
+    left_a: tuple[int, ...]
+    left_b: tuple[int, ...]
+    right_a: tuple[int, ...]
+    right_b: tuple[int, ...]
+
+
+# bytes of 0/1 -> ASCII binary digits
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@dataclass(frozen=True)
+class RegularGroup:
+    """A group given by its normal forms and any product rule, read through
+    the regular representation of its two generators (Cayley's theorem).
+
+    The elements must be the normal forms a^i b^j of a grid, i in
+    range(oa) and j in range(ob), ordered by (b_exp, a_exp), so element k
+    is a^(k mod oa) b^(k div oa).  Here oa and ob are read from the elements
+    (one more than the largest exponents), and `mult` must agree with the
+    labels: a * a^i b^j = a^(i+1) b^j for i + 1 < oa and
+    a^i b^j * b = a^i b^(j+1) for j + 1 < ob, where a = a^1 b^0 and
+    b = a^0 b^1 (the identity when that exponent range is a single value).
+    Then a and b generate the group.  The contract is checked when the
+    regular representation is first read, and ValueError names the first
+    element that breaks it.
+    """
+
+    spec: GroupSpec
+    elements: tuple[GroupElement, ...]
+    mult: Callable = field(compare=False, repr=False)
+
+    @staticmethod
+    def of(group: FiniteGroup) -> "RegularGroup":
+        """The reference for a group built from a presentation, same rule."""
+        return RegularGroup(group.spec, group.elements, group.mult)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @property
+    def identity(self) -> GroupElement:
+        return GroupElement(0, 0)
+
+    @cached_property
+    def index(self) -> dict[GroupElement, int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def regular(self) -> RegularPermutations:
+        """L_a, L_b, R_a and R_b from 4|G| products, after checking the contract."""
+        elems = self.elements
+        if not elems:
+            raise ValueError("a group has at least one element")
+        n = len(elems)
+        oa = 1 + max(x.a_exp for x in elems)
+        ob = 1 + max(x.b_exp for x in elems)
+        for k in range(max(n, oa * ob)):
+            x = elems[k] if k < n else "missing"
+            y = (k % oa, k // oa) if k < oa * ob else None
+            if x != y:
+                want = f"expected {GroupElement(*y)!r}" if y else "past the end"
+                raise ValueError(
+                    f"element {k} is {x}, {want} of the {oa} x {ob} normal-form grid"
+                )
+        at, mult = self.index.__getitem__, self.mult
+        a, b = elems[1 % oa], elems[oa % n]
+        lefts = [map(mult, repeat(g, n), elems) for g in (a, b)]
+        rights = [map(mult, elems, repeat(g, n)) for g in (a, b)]
+        try:
+            perms = [tuple(map(at, p)) for p in lefts + rights]
+        except KeyError as exc:
+            raise ValueError(f"product {exc.args[0]!r} is not an element") from None
+        left_a, _, _, right_b = perms
+        for k, x in enumerate(elems):
+            if x.a_exp + 1 < oa and left_a[k] != k + 1:
+                raise ValueError(
+                    f"a * {x!r} is {elems[left_a[k]]!r}, expected {elems[k + 1]!r}"
+                )
+            if x.b_exp + 1 < ob and right_b[k] != k + oa:
+                raise ValueError(
+                    f"{x!r} * b is {elems[right_b[k]]!r}, expected {elems[k + oa]!r}"
+                )
+        return RegularPermutations(oa, ob, *perms)
+
+    @cached_property
+    def commuting_masks(self) -> tuple[int, ...]:
+        """Bit y of entry x is set iff elements x and y commute.
+
+        Walks x = a^i b^j in index order with L_x = L_a^i o L_b^j and
+        R_x = R_b^j o R_a^i, each one composition from the previous element,
+        and compares them at C level: bit y is L_x[y] == R_x[y].
+        """
+        reg = self.regular
+        # itemgetter(*g)(f) is f o g, the permutation f applied after g
+        after_left_b = itemgetter(*reg.left_b)
+        after_right_a = itemgetter(*reg.right_a)
+        after_right_b = itemgetter(*reg.right_b)
+        masks = []
+        left_bj = right_bj = tuple(range(self.order))
+        for _ in range(reg.b_order):
+            left, right = left_bj, right_bj
+            for i in range(reg.a_order):
+                if i:
+                    left, right = itemgetter(*left)(reg.left_a), after_right_a(right)
+                bits = bytes(map(eq, left, right)).translate(_DIGITS)
+                masks.append(int(bits[::-1], 2))
+            left_bj, right_bj = after_left_b(left_bj), after_right_b(right_bj)
+        return tuple(masks)
+
+
+def regular_center(group: RegularGroup) -> set[GroupElement]:
+    """x is central iff L_a[x] == R_a[x] and L_b[x] == R_b[x]."""
+    reg = group.regular
+    return {
+        x
+        for x, la, ra, lb, rb in zip(
+            group.elements, reg.left_a, reg.right_a, reg.left_b, reg.right_b
+        )
+        if la == ra and lb == rb
+    }
 
 
 def reference_commuting_masks(group):
@@ -175,7 +319,10 @@ def reference_partition_structure(graph):
 )
 def test_mask_paths_equal_references(spec):
     group = enumerate_elements(spec)
+    regular = RegularGroup.of(group)
+    assert group.commuting_masks == regular.commuting_masks
     assert group.commuting_masks == reference_commuting_masks(group)
+    assert center(group) == regular_center(regular)
     assert center(group) == reference_center(group)
     for x in group.elements:
         assert centralizer(group, x) == reference_centralizer(group, x)
@@ -212,7 +359,7 @@ def symmetric_group_4():
         return GroupElement(index[tuple(p[q[k]] for k in range(4))], 0)
 
     elems = tuple(GroupElement(i, 0) for i in range(len(perms)))
-    return FiniteGroup(GroupSpec.u6n(4), elems, mult)
+    return RegularGroup(GroupSpec.u6n(4), elems, mult)
 
 
 def split_metacyclic(m, r, k, spec=GroupSpec.metacyclic(3, 1)):
@@ -229,7 +376,7 @@ def split_metacyclic(m, r, k, spec=GroupSpec.metacyclic(3, 1)):
 
     elems = tuple(GroupElement(i, j) for j in range(k) for i in range(m))
     # the spec only labels the group; the elements and mult define it
-    return FiniteGroup(spec, elems, mult)
+    return RegularGroup(spec, elems, mult)
 
 
 def test_non_ca_group_detected():
@@ -266,7 +413,7 @@ def test_out_of_contract_group_raises():
 )
 def test_grid_contract_names_first_breaking_element(elems, message):
     elems = tuple(GroupElement(*e) for e in elems)
-    group = FiniteGroup(GroupSpec.u6n(1), elems, lambda x, y: x)
+    group = RegularGroup(GroupSpec.u6n(1), elems, lambda x, y: x)
     with pytest.raises(ValueError, match=message):
         group.commuting_masks
 
@@ -277,9 +424,9 @@ def test_right_b_contract_names_first_breaking_element():
         return GroupElement((x.a_exp + y.a_exp) % 2, x.b_exp)
 
     elems = tuple(GroupElement(i, j) for j in range(3) for i in range(2))
-    group = FiniteGroup(GroupSpec.u6n(1), elems, mult)
+    group = RegularGroup(GroupSpec.u6n(1), elems, mult)
     with pytest.raises(ValueError, match=r"^a0b0 \* b is a0b0, expected a0b1$"):
-        center(group)
+        regular_center(group)
 
 
 def test_product_outside_the_elements_raises():
@@ -287,14 +434,17 @@ def test_product_outside_the_elements_raises():
         return GroupElement(x.a_exp + y.a_exp, 0)
 
     elems = tuple(GroupElement(i, 0) for i in range(5))
-    group = FiniteGroup(GroupSpec.u6n(1), elems, mult)
+    group = RegularGroup(GroupSpec.u6n(1), elems, mult)
     with pytest.raises(ValueError, match="^product a5b0 is not an element$"):
-        center(group)
+        regular_center(group)
 
 
 def test_masks_equal_pairwise_reference_at_qd_512():
     group = enumerate_elements(GroupSpec.qd(9))
+    regular = RegularGroup.of(group)
     assert group.commuting_masks == reference_commuting_masks(group)
+    assert group.commuting_masks == regular.commuting_masks
+    assert center(group) == regular_center(regular)
 
 
 @st.composite
@@ -314,7 +464,7 @@ def split_metacyclic_groups(draw):
 @example(split_metacyclic(7, 1, 1))
 def test_regular_masks_equal_reference_on_split_metacyclic(group):
     assert group.commuting_masks == reference_commuting_masks(group)
-    assert center(group) == reference_center(group)
+    assert regular_center(group) == reference_center(group)
 
 
 @pytest.mark.parametrize(
@@ -322,8 +472,20 @@ def test_regular_masks_equal_reference_on_split_metacyclic(group):
     default_grid()[::7] + LARGE_SPECS,
     ids=lambda s: s.label(),
 )
-def test_masks_and_center_take_at_most_4g_products(spec):
+def test_masks_and_center_take_no_product(spec):
     group = enumerate_elements(spec)
+    expected = RegularGroup.of(group)
+
+    def refuse(x, y):
+        raise AssertionError("a product was taken")
+
+    object.__setattr__(group, "mult", refuse)
+    assert group.commuting_masks == expected.commuting_masks
+    assert center(group) == regular_center(expected)
+
+
+def test_regular_reference_takes_at_most_4g_products():
+    group = enumerate_elements(GroupSpec.qd(8))
     calls = 0
 
     def counting(x, y):
@@ -331,9 +493,9 @@ def test_masks_and_center_take_at_most_4g_products(spec):
         calls += 1
         return group.mult(x, y)
 
-    counted = FiniteGroup(spec, group.elements, counting)
+    counted = RegularGroup(group.spec, group.elements, counting)
     assert counted.commuting_masks == group.commuting_masks
-    assert center(counted) == center(group)
+    assert regular_center(counted) == center(group)
     assert calls <= 4 * group.order
 
 

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from test_commutation import RegularGroup
 
 from ncgspectra import (
     AbelianGroupError,
@@ -25,6 +26,7 @@ from ncgspectra import (
     part_major,
     partition_structure,
 )
+from ncgspectra.families import Presentation
 
 K2 = complete_multipartite([1, 1])
 DL = MatrixKind.DISTANCE_LAPLACIAN
@@ -57,11 +59,15 @@ def test_abelian_group_rejected():
     def cyclic_mult(x, y):
         return GroupElement((x.a_exp + y.a_exp) % 5, 0)
 
-    cyclic = FiniteGroup(
+    # Z_5 through the regular-representation reference, and as a presentation
+    cyclic = RegularGroup(
         GroupSpec.u6n(1), tuple(GroupElement(i, 0) for i in range(5)), cyclic_mult
     )
-    with pytest.raises(AbelianGroupError):
-        non_commuting_graph(cyclic)
+    presented = FiniteGroup(GroupSpec.u6n(1), Presentation(5, 1, 0, 1, 1))
+    assert presented.elements == cyclic.elements
+    for group in (cyclic, presented):
+        with pytest.raises(AbelianGroupError, match="^U_6 is abelian, no vertices$"):
+            non_commuting_graph(group)
 
 
 @pytest.mark.parametrize(
@@ -227,6 +233,18 @@ def test_oracle_refuses_over_cap_before_building_the_graph(monkeypatch):
         verify_instance(GroupSpec.qd(8), MatrixKind.DISTANCE)
     with pytest.raises(OrderCapExceeded, match="^Q_12 graph order 10 exceeds cap 9$"):
         oracle(GroupSpec.q4n(3), order_cap=9)
+
+
+def test_oracle_refuses_over_cap_without_the_masks(monkeypatch):
+    # between cap and 4 * cap the refusal reads the centre alone
+    def unreachable(group):
+        raise AssertionError("commutation masks built for an over-cap instance")
+
+    monkeypatch.setattr(FiniteGroup, "commuting_masks", property(unreachable))
+    with pytest.raises(OrderCapExceeded, match="^QD_256 graph order 254 exceeds cap 100$"):
+        oracle(GroupSpec.qd(8), order_cap=100)
+    with pytest.raises(OrderCapExceeded, match="^U_600 graph order 500 exceeds cap 499$"):
+        oracle(GroupSpec.u6n(100), order_cap=499)
 
 
 def test_oracle_refuses_far_over_cap_before_enumerating(monkeypatch):

@@ -1,10 +1,12 @@
+import re
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgspectra import (
+    FiniteGroup,
     GroupElement,
     GroupSpec,
     InvalidParameters,
@@ -314,9 +316,38 @@ def test_every_presentation_meets_the_rule_preconditions():
         assert (q - 1) % ob == 0 or oa % 2 == 0
 
 
+# One presentation per precondition of `Presentation`, each breaking that
+# one first, with the message naming it.
+BROKEN_PRESENTATIONS = [
+    (Presentation(0, 2, 0, 1, 1), "oa >= 1 and ob >= 1"),
+    (Presentation(8, 4, 0, 3, 3), "r = 1 (mod oa) or q = 1 (mod ob)"),
+    (Presentation(5, 2, 0, 2, 1), "r^2 = 1 (mod oa)"),
+    (Presentation(2, 5, 0, 1, 2), "q^2 = 1 (mod ob)"),
+    (Presentation(4, 3, 0, 3, 1), "ob even unless r = 1 (mod oa)"),
+    (Presentation(3, 4, 0, 1, 3), "oa even unless q = 1 (mod ob)"),
+    (Presentation(4, 4, 1, 1, 3), "s = 0 (mod oa) unless q = 1 (mod ob)"),
+    (Presentation(4, 2, 1, 3, 1), "s (r - 1) = 0 (mod oa)"),
+]
+
+
+@pytest.mark.parametrize(
+    "p, condition", BROKEN_PRESENTATIONS, ids=[c for _, c in BROKEN_PRESENTATIONS]
+)
+def test_rule_names_the_first_broken_precondition(p, condition):
+    message = f"^{re.escape(f'{p!r} breaks the precondition {condition}')}$"
+    with pytest.raises(ValueError, match=message):
+        normal_form_rule(p)
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(GroupSpec.u6n(1), p)
+
+
 @st.composite
 def presentations(draw):
-    """Any tuple meeting the rule's preconditions, with oa, ob >= 2."""
+    """Any tuple meeting the rule's preconditions, with oa, ob >= 2.
+
+    r and q are drawn from range(oa) and range(ob), and each is shifted to
+    its negative representative r - oa or q - ob half the time.
+    """
     if draw(st.booleans()):  # q = 1: b acts on <a> by a -> a^r
         oa, ob = draw(st.integers(2, 12)), draw(st.integers(2, 8))
         r = draw(st.sampled_from([
@@ -324,7 +355,8 @@ def presentations(draw):
             if (r * r - 1) % oa == 0 and (ob % 2 == 0 or r == 1)
         ]))
         s = draw(st.sampled_from([s for s in range(oa) if s * (r - 1) % oa == 0]))
-        return Presentation(oa, ob, s, r - oa * draw(st.integers(0, 1)), 1)
+        r -= oa * draw(st.integers(0, 1))
+        return Presentation(oa, ob, s, r, 1 - ob * draw(st.integers(0, 1)))
     oa, ob = 2 * draw(st.integers(1, 6)), draw(st.integers(2, 8))
     q = draw(st.sampled_from([q for q in range(ob) if (q * q - 1) % ob == 0]))
     return Presentation(oa, ob, 0, 1, q - ob * draw(st.integers(0, 1)))
@@ -332,6 +364,7 @@ def presentations(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(presentations())
+@example(Presentation(4, 2, 2, 3, -1))  # q - ob with a central a^s != 1
 def test_product_rule_gives_the_presented_group(p):
     mult = normal_form_rule(p)
     elems = [E(i, j) for j in range(p.ob) for i in range(p.oa)]
@@ -349,3 +382,21 @@ def test_product_rule_gives_the_presented_group(p):
     assert mult(b, a) == mult(power(mult, a, p.r % p.oa), power(mult, b, p.q % p.ob))
     for x in elems:
         assert mult(power(mult, a, x.a_exp), power(mult, b, x.b_exp)) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+@example(Presentation(4, 2, 2, 3, -1))  # q - ob with a central a^s != 1
+@example(Presentation(8, 2, 0, -3, -1))  # r - oa and q - ob together
+@example(Presentation(6, 4, 0, 1, -1))  # r = 1, q = 3 (mod 4): the b-congruence
+def test_masks_and_center_equal_the_pairwise_products(p):
+    group = FiniteGroup(GroupSpec.u6n(1), p)
+    mult = normal_form_rule(p)
+    elems = group.elements
+    masks = tuple(
+        sum(1 << k for k, y in enumerate(elems) if mult(x, y) == mult(y, x))
+        for x in elems
+    )
+    assert group.commuting_masks == masks
+    everything = (1 << group.order) - 1
+    assert center(group) == {x for x, mask in zip(elems, masks) if mask == everything}

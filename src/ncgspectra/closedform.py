@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial, reduce
 from itertools import repeat
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .exactalg import (
@@ -203,11 +204,9 @@ def _on_blocks(order: int, *blocks: tuple[Sequence[int], int]) -> tuple[int, ...
     return tuple(v)
 
 
-def _differences(order: int, parts: Sequence[Sequence[int]]) -> tuple:
-    """e_i - e_first for every index i after the first of each part."""
-    return tuple(
-        _on_blocks(order, (p[:1], -1), ((i,), 1)) for p in parts for i in p[1:]
-    )
+def _differences(parts: Sequence[Sequence[int]]) -> list:
+    """The blocks of e_i - e_first for every index i after the first of each part."""
+    return [((p[:1], -1), ((i,), 1)) for p in parts for i in p[1:]]
 
 
 def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
@@ -221,6 +220,9 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     `irrational_pair`.  Vertices are in the certified part-major order.  A
     vector failing M v = eigenvalue * v on the actual matrix, or a family
     whose vector count is not its stated multiplicity, raises ArithmeticError.
+    Each vector is built from disjoint (indices, value) blocks, so M v is
+    the sum of value * S_J over its blocks J, where S_J, the sum of the
+    columns in J, is formed once per distinct block.
     """
     if kind == MatrixKind.DISTANCE:
         raise ValueError("eigenbasis is available for dl and dq only")
@@ -229,43 +231,54 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     matrix, order = matrix_of_kind(distance, kind), graph.order
     big, *small = partition.classes
     shapes = {
-        "all-ones": lambda: (_on_blocks(order, (range(order), 1)),),
-        "big-part-vs-one-small-part": lambda: tuple(
-            _on_blocks(order, (big, -1), (p, len(big) // len(p))) for p in small
-        ),
-        "small-part-difference": lambda: _differences(order, small),
-        "big-part-difference": lambda: _differences(order, [big]),
-        "small-part-vs-small-part": lambda: tuple(
-            _on_blocks(order, (small[0], -1), (p, 1)) for p in small[1:]
-        ),
+        "all-ones": lambda: [((tuple(range(order)), 1),)],
+        "big-part-vs-one-small-part": lambda: [
+            ((big, -1), (p, len(big) // len(p))) for p in small
+        ],
+        "small-part-difference": lambda: _differences(small),
+        "big-part-difference": lambda: _differences([big]),
+        "small-part-vs-small-part": lambda: [
+            ((small[0], -1), (p, 1)) for p in small[1:]
+        ],
     }
-    stated: list[tuple[EigenFamily, int]] = []
+    stated: list[tuple[int, str, list, int]] = []
     irrational: QuadraticEig | None = None
     entries = spec.record.closed_forms[kind](n, None)
     for (desc, mult), label in zip(entries, _Q4N_FAMILIES[kind], strict=True):
         if not isinstance(desc, QuadraticEig):
-            stated.append((EigenFamily(desc, label, shapes[label]()), mult))
+            stated.append((desc, label, shapes[label](), mult))
         elif desc.integer_roots() is None:
             irrational = desc
         else:
             ts = rational_roots_of_quadratic(*spec.record.t_quadratic(n, None))
             if ts is None:
                 raise ArithmeticError(f"stated pair {desc} is integral, t is not")
-            rest = range(len(big), order)
+            rest = tuple(range(len(big), order))
             for mu, t in zip(desc.integer_roots(), ts):
-                vec = _on_blocks(order, (big, t.numerator), (rest, t.denominator))
-                stated.append((EigenFamily(mu, label, (vec,)), mult))
-    for family, mult in stated:
-        if len(family.vectors) != mult:
+                blocks = ((big, t.numerator), (rest, t.denominator))
+                stated.append((mu, label, [blocks], mult))
+    columns = matrix.columns
+
+    @cache
+    def column_sum(indices: tuple[int, ...]) -> tuple[int, ...]:
+        if len(indices) == 1:
+            return columns[indices[0]]
+        return tuple(map(sum, zip(*itemgetter(*indices)(columns))))
+
+    families = []
+    for eigenvalue, label, vector_blocks, mult in stated:
+        if len(vector_blocks) != mult:
             raise ArithmeticError(
-                f"{family.label} has {len(family.vectors)} vectors, stated "
+                f"{label} has {len(vector_blocks)} vectors, stated "
                 f"multiplicity {mult}, for {kind} at n={n}"
             )
-        for vec in family.vectors:
-            expected = tuple(map(mul, vec, repeat(family.eigenvalue)))
-            if matrix.mat_vec(vec) != expected:
+        vectors = tuple(_on_blocks(order, *blocks) for blocks in vector_blocks)
+        families.append(EigenFamily(eigenvalue, label, vectors))
+        for vec, blocks in zip(vectors, vector_blocks):
+            expected = tuple(map(mul, vec, repeat(eigenvalue)))
+            scaled = (map(mul, column_sum(J), repeat(x)) for J, x in blocks)
+            if tuple(reduce(partial(map, add), scaled)) != expected:
                 raise ArithmeticError(
-                    f"vector {vec} fails M v = {family.eigenvalue} v "
-                    f"for {kind} at n={n}"
+                    f"vector {vec} fails M v = {eigenvalue} v for {kind} at n={n}"
                 )
-    return EigenbasisResult(kind, n, tuple(f for f, _ in stated), irrational)
+    return EigenbasisResult(kind, n, tuple(families), irrational)

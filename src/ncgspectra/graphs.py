@@ -7,9 +7,13 @@ on the masks; the part-major graph is then built from the certified part sizes.
 
 The distance matrix is always computed by breadth-first search, even though
 the graphs at hand provably have diameter 2; this keeps the oracle honest and
-family-agnostic.  Each source's BFS levels are collected as bit-planes (plane k
-holds the vertices whose distance has bit k set), and the row is unpacked from
-the planes at C level, so no distance is written one vertex at a time.
+family-agnostic.  The search runs once per distinct neighbourhood, from its
+first vertex s; a later vertex v with N(v) = N(s) is a twin, found by mask
+equality, and its row is row s with entries s and v transposed, since
+d(v, x) = d(s, x) for every other x.  Each source's BFS levels are collected as
+bit-planes (plane k holds the vertices whose distance has bit k set), and the
+row is unpacked from the planes at C level, so no distance is written one
+vertex at a time.
 """
 
 from __future__ import annotations
@@ -91,7 +95,8 @@ def non_commuting_graph(group: FiniteGroup) -> NCGraph:
     """Graph on the non-central elements, adjacent iff they do not commute.
 
     An element is central iff its commutation mask is all ones; the rows are
-    the complemented masks re-indexed onto the non-central elements.
+    the complemented masks re-indexed onto the non-central elements, each
+    distinct mask once, so vertices with equal masks share one row.
     """
     masks = group.commuting_masks
     everything = (1 << group.order) - 1
@@ -99,7 +104,9 @@ def non_commuting_graph(group: FiniteGroup) -> NCGraph:
     if not idx:
         raise AbelianGroupError(f"{group.spec.label()} is abelian, no vertices")
     full = (1 << len(idx)) - 1
-    rows = tuple(full & ~r for r in select_bits([masks[i] for i in idx], idx))
+    distinct = list(dict.fromkeys(masks[i] for i in idx))
+    row_of = dict(zip(distinct, (full & ~r for r in select_bits(distinct, idx))))
+    rows = tuple(row_of[masks[i]] for i in idx)
     return NCGraph(tuple(group.elements[i] for i in idx), rows)
 
 
@@ -164,9 +171,15 @@ _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def distance_matrix(graph: NCGraph) -> IntMatrix:
-    """All-pairs shortest path lengths by BFS from every vertex.
+    """All-pairs shortest path lengths by BFS, once per distinct neighbourhood.
 
-    The search is level-synchronous over neighbour bitmasks: the next level
+    A vertex v whose neighbour mask equals that of an earlier vertex s takes
+    row s with entries s and v transposed: every shortest path from v or s
+    to another vertex x starts with a step into N(v) = N(s), so
+    d(v, x) = d(s, x).  Adjacent vertices with equal closed neighbourhoods
+    have unequal masks and get a BFS each.  Vertex 0 always gets its own
+    search, so a disconnected graph raises DisconnectedGraph from it.  The
+    search is level-synchronous over neighbour bitmasks: the next level
     is the union of the frontier's neighbours minus the vertices already seen.
     Each level's mask is ORed into bit-planes, plane k holding the vertices
     whose distance has bit k set.  A plane's binary string becomes one byte
@@ -184,8 +197,15 @@ def distance_matrix(graph: NCGraph) -> IntMatrix:
     unpack = struct.Struct(f"<{n}{code}").unpack
     fmt = f"0{n}b"
     fields_of = bytearray(n * width)
-    rows = []
+    first: dict[int, int] = {}
+    rows: list[tuple[int, ...]] = []
     for src in range(n):
+        twin = first.setdefault(neighbors[src], src)
+        if twin != src:
+            row = list(rows[twin])
+            row[twin], row[src] = row[src], row[twin]
+            rows.append(tuple(row))
+            continue
         planes: list[int] = []
         seen = frontier = 1 << src
         level = 0

@@ -176,7 +176,7 @@ def verify_grid(
     processes if that is > 1, with about four chunks per worker.
     """
     work = [(spec, kinds, order_cap) for spec in specs]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
+    workers = jobs if jobs <= 1 else min(jobs, len(work), os.cpu_count() or 1)
     if workers <= 1:
         return [r for job in work for r in _verify_job(job)]
     size = math.ceil(len(work) / (4 * workers))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,11 @@ from ncgspectra import (
     non_commuting_graph,
     oracle,
     part_major,
+    rational_roots_of_quadratic,
     spectrum_for,
     spectrum_to_polynomial,
 )
-from ncgspectra.families import Q4N_FAMILY
+from ncgspectra.families import Q4N_FAMILY, _q4n_dq_with_offset
 
 D = MatrixKind.DISTANCE
 DL = MatrixKind.DISTANCE_LAPLACIAN
@@ -372,6 +375,35 @@ class TestEigenbasis:
         for n in (2, 3, 5):
             with pytest.raises(ArithmeticError):
                 eigenbasis_q4n(DL, n)
+
+    def test_wrong_small_part_vs_small_part_eigenvalue_raises(self, monkeypatch):
+        def wrong(n, m):
+            right = _q4n_dq_with_offset(n, 6 * n - 2)
+            return right[:2] + [(4 * n - 1, n - 1)] + right[3:]
+
+        monkeypatch.setitem(Q4N_FAMILY.closed_forms, DQ, wrong)
+        for n in (2, 3, 5):
+            big = 2 * n - 2
+            vec = (0,) * big + (-1, -1, 1, 1) + (0,) * (2 * n - 4)
+            message = f"vector {vec} fails M v = {4 * n - 1} v for {DQ} at n={n}"
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                eigenbasis_q4n(DQ, n)
+
+    def test_wrong_integral_scaled_constant_pair_raises(self, monkeypatch):
+        # one more than the stated offset moves both roots of the pair up by 1
+        monkeypatch.setitem(
+            Q4N_FAMILY.closed_forms, DQ, lambda n, m: _q4n_dq_with_offset(n, 6 * n - 1)
+        )
+        for n in (2, 3, 6):
+            pair = _q4n_dq_with_offset(n, 6 * n - 1)[3][0]
+            t = rational_roots_of_quadratic(*Q4N_FAMILY.t_quadratic(n, None))[0]
+            vec = (t.numerator,) * (2 * n - 2) + (t.denominator,) * (2 * n)
+            message = (
+                f"vector {vec} fails M v = {pair.integer_roots()[0]} v "
+                f"for {DQ} at n={n}"
+            )
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                eigenbasis_q4n(DQ, n)
 
 
 class TestClaimedPartitions:

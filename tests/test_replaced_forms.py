@@ -19,9 +19,14 @@ the distance polynomial of K_{n_1,...,n_k} took a product over every part,
 where it now takes one over the distinct part sizes.  `char_poly` passed
 the whole integer similarity T^-1 M T of its twin runs to the Hessenberg
 reduction, where it now splits off each checked twin eigenvalue and
-recurses on the leader block.  Those copies are kept here as references.
+recurses on the leader block.  `non_commuting_graph` re-indexed every
+vertex's commutation mask, where it now re-indexes each distinct mask once;
+`distance_matrix` ran a BFS from every vertex, where it now runs one per
+distinct neighbourhood and transposes two entries of the twin's row.  Those
+copies are kept here as references.
 """
 
+import struct
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -35,6 +40,8 @@ import ncgspectra.families as families
 
 from ncgspectra import (
     ALL_KINDS,
+    AbelianGroupError,
+    DisconnectedGraph,
     EigenbasisResult,
     EigenFamily,
     GroupElement,
@@ -46,6 +53,7 @@ from ncgspectra import (
     char_poly,
     claimed_partition_sizes,
     default_grid,
+    distance_matrix,
     eigenbasis_q4n,
     enumerate_elements,
     is_perfect_square,
@@ -61,9 +69,16 @@ from ncgspectra import (
 from ncgspectra.exactalg import _twin_runs, products_but_one
 from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
 from ncgspectra.graphs import select_bits
-from ncgspectra.groups import Rule
+from ncgspectra.groups import Rule, bit_indices
 
-from test_commutation import LARGE_SPECS, _certificate, relabelled_multipartite
+from test_commutation import (
+    LARGE_SPECS,
+    _certificate,
+    reference_commuting_masks,
+    relabelled_multipartite,
+    split_metacyclic_groups,
+    symmetric_group_4,
+)
 from test_groups import spec_id
 from test_twin_similarity import planted_twins
 
@@ -555,3 +570,158 @@ def test_char_poly_equals_that_of_the_twin_similarity_on_planted_twins(case):
     matrix = IntMatrix.from_rows(case[0])
     similar = IntMatrix.from_rows(reference_twin_similar(matrix))
     assert char_poly(similar) == char_poly(matrix)
+
+
+def reference_per_vertex_graph(group):
+    masks = group.commuting_masks
+    everything = (1 << group.order) - 1
+    idx = [i for i, mask in enumerate(masks) if mask != everything]
+    if not idx:
+        raise AbelianGroupError(f"{group.spec.label()} is abelian, no vertices")
+    full = (1 << len(idx)) - 1
+    rows = tuple(full & ~r for r in select_bits([masks[i] for i in idx], idx))
+    return NCGraph(tuple(group.elements[i] for i in idx), rows)
+
+
+def _graph_outcome(build, group):
+    try:
+        return build(group)
+    except AbelianGroupError as exc:
+        return str(exc)
+
+
+def _assert_per_mask_graph(group):
+    graph = _graph_outcome(non_commuting_graph, group)
+    assert graph == _graph_outcome(reference_per_vertex_graph, group)
+    if isinstance(graph, str):
+        return
+    masks = group.commuting_masks
+    rows_of: dict[int, set[int]] = {}
+    for x, row in zip(graph.vertices, graph.neighbors):
+        rows_of.setdefault(masks[group.elements.index(x)], set()).add(id(row))
+    assert all(len(ids) == 1 for ids in rows_of.values())
+
+
+@pytest.mark.parametrize(
+    "spec", default_grid() + LARGE_SPECS + [GroupSpec.qd(9)], ids=spec_id
+)
+def test_per_mask_graph_equals_the_per_vertex_copy(spec):
+    _assert_per_mask_graph(enumerate_elements(spec))
+
+
+def test_per_mask_graph_equals_the_per_vertex_copy_on_s4():
+    s4 = symmetric_group_4()
+    s4.__dict__["commuting_masks"] = reference_commuting_masks(s4)
+    _assert_per_mask_graph(s4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_metacyclic_groups())
+def test_per_mask_graph_equals_the_per_vertex_copy_on_split_metacyclic(group):
+    _assert_per_mask_graph(group)
+
+
+# '0'/'1' characters to the byte values 0/1: one binary digit per byte field.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def reference_every_vertex_distance_matrix(graph):
+    n = graph.order
+    everything = (1 << n) - 1
+    neighbors = graph.neighbors
+    code = next(c for c in "BHIQ" if n <= 1 << 8 * struct.calcsize("<" + c))
+    width = struct.calcsize("<" + code)
+    unpack = struct.Struct(f"<{n}{code}").unpack
+    fmt = f"0{n}b"
+    fields_of = bytearray(n * width)
+    rows = []
+    for src in range(n):
+        planes = []
+        seen = frontier = 1 << src
+        level = 0
+        while frontier and seen != everything:
+            level += 1
+            unseen = everything & ~seen
+            reach = 0
+            for u in bit_indices(frontier):
+                reach |= neighbors[u] & unseen
+                if reach == unseen:
+                    break
+            frontier = reach
+            seen |= reach
+            if level.bit_length() > len(planes):
+                planes.append(0)
+            for k in bit_indices(level):
+                planes[k] |= reach
+        if seen != everything:
+            missing = everything & ~seen
+            far = (missing & -missing).bit_length() - 1
+            raise DisconnectedGraph(f"vertex {far} unreachable from vertex {src}")
+        row = 0
+        for k, plane in enumerate(planes):
+            digits = format(plane, fmt).encode().translate(_DIGIT_BYTES)
+            if width > 1:
+                fields_of[width - 1::width] = digits
+                digits = fields_of
+            row |= int.from_bytes(digits, "big") << k
+        rows.append(unpack(row.to_bytes(n * width, "little")))
+    return IntMatrix(tuple(rows))
+
+
+def _distance_outcome(distances, graph):
+    try:
+        return distances(graph)
+    except DisconnectedGraph as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", default_grid() + LARGE_SPECS, ids=spec_id)
+def test_twin_row_distances_equal_the_every_vertex_copy(spec):
+    # the raw graph lists a part's twins apart, the part-major one together
+    raw = non_commuting_graph(enumerate_elements(spec))
+    for graph in (raw, part_major(raw)[0]):
+        assert distance_matrix(graph) == reference_every_vertex_distance_matrix(graph)
+
+
+@st.composite
+def graphs_with_planted_twins(draw):
+    """A random graph plus copies of its vertices, listed in a random order.
+
+    An open copy has its original's neighbours, so the two are twins with
+    equal masks; a closed copy is also adjacent to its original, so their
+    closed neighbourhoods are equal but their masks are not.  An isolated
+    pair has the empty mask twice and disconnects the graph.
+    """
+    n = draw(st.integers(1, 8))
+    adj = [set() for _ in range(n)]
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=3 * n)):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    for kind in draw(st.lists(st.sampled_from(["open", "closed", "isolated"]),
+                              max_size=8)):
+        if kind == "isolated":
+            adj += [set(), set()]
+            continue
+        u, c = draw(st.integers(0, len(adj) - 1)), len(adj)
+        adj.append(set(adj[u]) | ({u} if kind == "closed" else set()))
+        for w in adj[c]:
+            adj[w].add(c)
+    order = draw(st.permutations(range(len(adj))))
+    place = {v: i for i, v in enumerate(order)}
+    rows = tuple(sum(1 << place[w] for w in adj[v]) for v in order)
+    return NCGraph(tuple(range(len(rows))), rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_planted_twins())
+@example(NCGraph((0, 1, 2, 3), (0b0010, 0b0001, 0, 0)))
+@example(NCGraph((0, 1, 2, 3), (0, 0, 0b1000, 0b0100)))
+# 1 and 2 are adjacent with equal closed neighbourhoods {0, 1, 2}
+@example(NCGraph((0, 1, 2), (0b110, 0b101, 0b011)))
+@example(NCGraph((0, 1, 2, 3), (0b1010, 0b0101, 0b1010, 0b0101)))
+def test_twin_row_distances_equal_the_every_vertex_copy_on_planted_twins(graph):
+    assert _distance_outcome(distance_matrix, graph) == _distance_outcome(
+        reference_every_vertex_distance_matrix, graph
+    )

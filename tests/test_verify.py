@@ -227,6 +227,19 @@ class TestVerifyGrid:
         assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
         assert requested == [2, 2]
 
+    def test_serial_run_asks_for_no_cpu_count(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        specs = [GroupSpec.u6n(n) for n in (1, 2)]
+        expected = verify_grid(specs, ALL_KINDS, jobs=1)
+
+        def refuse():
+            raise AssertionError("cpu_count was called")
+
+        monkeypatch.setattr(verify.os, "cpu_count", refuse)
+        for jobs in (1, 0, -3):
+            assert verify_grid(specs, ALL_KINDS, jobs=jobs) == expected
+
     def test_one_oracle_per_group_serves_every_kind(self, monkeypatch):
         import ncgspectra.verify as verify
 

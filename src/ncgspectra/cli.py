@@ -50,6 +50,10 @@ USAGE_ERROR = 2
 # refused before any group is built; at this bound either peaks below 200 MB.
 MAX_INSTANCES = 200_000
 
+# One compact encoder for every JSON record; `json.dumps` with separators
+# builds a new JSONEncoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
@@ -152,7 +156,7 @@ def _write(
     lines = text(records) if args.format == "text" else ()
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         if args.format == "json":
-            out.writelines(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+            out.writelines(_encode_json(r) + "\n" for r in records)
         elif args.format == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(csv_header)

@@ -23,7 +23,8 @@ anywhere.  The characteristic polynomial has two independent implementations,
   come from one ascending table: certified Proth primes k * 2^m + 1, whose
   bit lengths grow by at most 12.5% per step from 61 to 2,453 bits, among
   the Mersenne primes, which continue up to 2^44497 - 1, the end of the
-  table; and
+  table.  `char_poly_factors` returns the split eigenvalues and the last
+  block's polynomial unexpanded; `char_poly` multiplies them out; and
 * `char_poly_interpolation` -- fraction-free Bareiss determinants of xI - M at
   n+1 integer points combined by Lagrange interpolation with a single exact
   division by n! at the end.
@@ -39,8 +40,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, repeat
-from operator import add, itemgetter, mul
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -81,27 +82,6 @@ class IntMatrix:
         Not a dataclass field: equality, hashing and repr see only `rows`.
         """
         return tuple(zip(*self.rows))
-
-    def mat_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        """M v, exactly, from the columns grouped by v's nonzero values.
-
-        The columns selected by each distinct value are summed entrywise, then
-        scaled by the value and accumulated, all at C level.
-        """
-        if len(v) != self.n:
-            raise ValueError("vector length must equal matrix order")
-        by_value: dict[int, list[int]] = {}
-        for j in compress(range(self.n), v):
-            by_value.setdefault(v[j], []).append(j)
-        columns = self.columns
-        out = (0,) * self.n
-        for x, js in by_value.items():
-            if len(js) == 1:
-                summed = columns[js[0]]
-            else:
-                summed = map(sum, zip(*itemgetter(*js)(columns)))
-            out = tuple(map(add, out, map(mul, summed, repeat(x))))
-        return out
 
 
 class IntPolynomial:
@@ -348,8 +328,13 @@ def _twin_eigenvalue(cols: Sequence[Sequence[int]], s: int, v: int) -> int | Non
     return lam if same and a[s] - b[s] == lam else None
 
 
-def char_poly(matrix: IntMatrix) -> IntPolynomial:
-    """det(xI - M), monic of degree n, exact: checked twin eigenvalues, then one dense block.
+def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
+    """det(xI - M) unexpanded: the checked twin eigenvalues and the dense block's polynomial.
+
+    Returns (roots, block) with det(xI - M) = block * prod (x - lambda)^m
+    over roots' items (lambda, m); block is monic with integer coefficients,
+    of degree n minus the number of roots.  So a stated spectrum can be
+    compared with these factors without expanding them (`verify._compare`).
 
     For each run of `_twin_runs` with leader s and each other index v of it,
     `_twin_eigenvalue` checks that column v minus column s is
@@ -377,8 +362,7 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     over its leading principal submatrices (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.2.9).  Raises ArithmeticError, rather
     than return an unproven result, when 2 beta reaches the largest
-    tabulated prime, 2^44497 - 1.  That polynomial is then multiplied by
-    each (x - lambda)^m, expanded binomially.
+    tabulated prime, 2^44497 - 1.
     """
     roots: Counter[int] = Counter()
     while len(runs := _twin_runs(matrix)) < matrix.n:
@@ -392,7 +376,7 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
         ))
     n = matrix.n
     if n == 0:
-        return POLY_ONE
+        return roots, POLY_ONE
     rows = matrix.rows
     mean_square = -(-sum(sum(map(mul, row, row)) for row in rows) // n)
     root = math.isqrt(mean_square)
@@ -426,7 +410,16 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
                     nxt[k] -= c * v
         polys.append([v % p for v in nxt])
     half = p // 2
-    poly = IntPolynomial(v - p if v > half else v for v in polys[n])
+    return roots, IntPolynomial(v - p if v > half else v for v in polys[n])
+
+
+def char_poly(matrix: IntMatrix) -> IntPolynomial:
+    """det(xI - M), monic of degree n, exact: `char_poly_factors` expanded.
+
+    The dense block's polynomial is multiplied by each (x - lambda)^m,
+    expanded binomially.
+    """
+    roots, poly = char_poly_factors(matrix)
     for lam, m in roots.items():
         poly = poly * IntPolynomial.x_minus(lam) ** m
     return poly

@@ -1,9 +1,16 @@
 """End-to-end arbitration: closed-form spectra against the exact oracle.
 
 The oracle (group -> graph -> matrix -> characteristic polynomial) is ground
-truth; the closed forms are claims under test.  A mismatch never aborts a
-grid run: it produces a report carrying the first differing coefficient and a
-factored residual to aid diagnosis.
+truth; the closed forms are claims under test.  The oracle's characteristic
+polynomial is kept factored, as `char_poly_factors` finds it: the checked
+twin eigenvalues and one dense block.  It is compared with the closed form
+entry by entry, as multisets of monic irreducible factors over Q, which by
+unique factorization decides equality of the expanded polynomials exactly.
+A match expands the closed form once, for both of the report's polynomials.
+A mismatch never aborts a grid run: it produces a report carrying both
+expanded polynomials, the first differing coefficient, the oracle's factors
+that the closed form lacks (the residual) and the closed-form entries that
+do not divide the oracle polynomial.
 """
 
 from __future__ import annotations
@@ -15,18 +22,20 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .closedform import (
-    SpectrumSpec,
     entry_factor,
+    make_spectrum,
     spectrum_for,
     spectrum_to_polynomial,
 )
 from .exactalg import (
+    POLY_ONE,
     IntPolynomial,
-    char_poly,
+    QuadraticEig,
+    char_poly_factors,
     is_perfect_square,
     rational_roots_of_quadratic,
 )
-from .families import ALL_KINDS, GroupSpec, MatrixKind
+from .families import ALL_KINDS, EigDesc, GroupSpec, MatrixKind
 from .graphs import Oracle, OrderCapExceeded, PartitionStructure, matrix_of_kind, oracle
 
 DEFAULT_ORDER_CAP = 150
@@ -76,27 +85,41 @@ class IntegralityRecord:
 
 
 def _factor_out(
-    oracle: IntPolynomial, spectrum: SpectrumSpec
-) -> tuple[IntPolynomial, tuple[tuple[object, int], ...]]:
-    """Divide every closed-form factor out of the oracle polynomial.
+    rest: IntPolynomial, entries: Iterable[tuple[EigDesc, int]]
+) -> tuple[IntPolynomial, tuple[tuple[EigDesc, int], ...]]:
+    """Divide each entry's factor out of `rest`, at most its multiplicity times.
 
-    Returns the residual oracle factor and the closed-form entries (with
-    leftover multiplicities) that did not divide.
+    Returns what is left of `rest` and the entries, in their order, with the
+    multiplicities that did not divide.  A constant `rest` divides nothing.
     """
-    residual = oracle
     leftover = []
-    for desc, mult in spectrum.entries:
+    for desc, mult in entries:
         factor = entry_factor(desc)
         used = 0
         while used < mult:
-            quot, rem = residual.divmod_monic(factor)
+            quot, rem = rest.divmod_monic(factor)
             if not rem.is_zero:
                 break
-            residual = quot
+            rest = quot
             used += 1
         if used < mult:
             leftover.append((desc, mult - used))
-    return residual, tuple(leftover)
+    return rest, tuple(leftover)
+
+
+def _minus(
+    entries: Iterable[tuple[EigDesc, int]], other: Iterable[tuple[EigDesc, int]]
+) -> list[tuple[EigDesc, int]]:
+    """The entries whose multiplicity exceeds other's, by the excess, in their order."""
+    counts = dict(other)
+    return [(d, m - counts.get(d, 0)) for d, m in entries if m > counts.get(d, 0)]
+
+
+def _expand(entries: Iterable[tuple[EigDesc, int]], poly: IntPolynomial) -> IntPolynomial:
+    """poly times each entry's factor to its multiplicity."""
+    for desc, mult in entries:
+        poly = poly * entry_factor(desc) ** mult
+    return poly
 
 
 def _first_diff(a: IntPolynomial, b: IntPolynomial) -> str:
@@ -117,22 +140,54 @@ def verify_instance(
 
 
 def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationReport:
-    """Everything after the oracle: char poly, closed form and comparison."""
-    oracle_poly = char_poly(matrix_of_kind(staged.distance, kind))
+    """Everything after the oracle: factored char poly, closed form and comparison.
+
+    The oracle's twin eigenvalues, and its dense block when of degree <= 2,
+    are normalized by `make_spectrum` like the closed form's entries; a
+    block of higher degree stays an unsplit `rest`.  Every entry on either
+    side is then a monic irreducible over Q: x - v, or a quadratic whose
+    discriminant is not a square.  So by unique factorization the two
+    polynomials are equal iff the entry multisets differ only by factors of
+    `rest`: iff nothing is oracle-only, and the closed-only entries, divided
+    out of `rest`, leave 1 and no multiplicity over.  Those are the residual
+    and leftover that dividing the closed factors out of the expanded oracle
+    polynomial would give.  A match expands the closed form once, for both
+    polynomials.  A mismatch expands the entries the two sides share once,
+    then multiplies in each side's own, for both polynomials and
+    `diff_summary`.
+    """
+    roots, block = char_poly_factors(matrix_of_kind(staged.distance, kind))
     spectrum = spectrum_for(spec, kind)
-    closed = spectrum_to_polynomial(spectrum)
-    matched = oracle_poly == closed
-    residual, leftover = (None, ()) if matched else _factor_out(oracle_poly, spectrum)
+    raw = list(roots.items())
+    rest = POLY_ONE
+    if block.degree > 2:
+        rest = block
+    elif block.degree == 2:
+        raw.append((QuadraticEig(-block.coeffs[1], block.coeffs[0]), 1))
+    elif block.degree == 1:
+        raw.append((-block.coeffs[0], 1))
+    found = make_spectrum(staged.graph.order - rest.degree, kind, raw).entries
+    oracle_only = _minus(found, spectrum.entries)
+    closed_only = _minus(spectrum.entries, found)
+    residual, leftover = _factor_out(rest, closed_only)
+    if not oracle_only and not leftover and residual == POLY_ONE:
+        closed = spectrum_to_polynomial(spectrum)
+        return VerificationReport(
+            spec, kind, staged.graph.order, True, closed, closed, staged.partition
+        )
+    shared = _expand(_minus(spectrum.entries, closed_only), POLY_ONE)
+    oracle_poly = _expand(oracle_only, shared) * rest
+    closed = _expand(closed_only, shared)
     return VerificationReport(
         spec,
         kind,
         staged.graph.order,
-        matched,
+        False,
         oracle_poly,
         closed,
         staged.partition,
         diff_summary=_first_diff(oracle_poly, closed),
-        residual=residual,
+        residual=_expand(oracle_only, residual),
         unmatched_closed=leftover,
     )
 

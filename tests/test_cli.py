@@ -46,6 +46,20 @@ def test_spectrum_json_round_trip_is_byte_identical(capsys):
     assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
+def test_shared_json_encoder_writes_what_dumps_writes():
+    from ncgspectra.cli import _encode_json
+
+    records = [
+        {"family": "qd", "params": {"n": 5}, "matrix": "dq", "witness": None,
+         "note": "rational t with denominator 2", "ok": True, "mult": 3},
+        {"diff": "x^0: oracle=-12, closed=7", "unmatched_closed": [
+            {"factor": "x^2 - 4074*x + 3631200", "mult": 1}], "label": "Q_8 \u2260"},
+        {},
+    ]
+    for record in records:
+        assert _encode_json(record) == json.dumps(record, separators=(",", ":"))
+
+
 def test_spectrum_quadratic_pair_serialized(capsys):
     code, out, _ = run(
         capsys, "spectrum", "--group", "u6n", "--n", "1", "--matrix", "d",
@@ -347,7 +361,7 @@ def test_spectrum_oracle_char_poly_limit_is_an_error_not_a_traceback(capsys, mon
     def refusing(matrix):
         raise ArithmeticError("coefficient bound beyond the Mersenne prime table")
 
-    monkeypatch.setattr(verify, "char_poly", refusing)
+    monkeypatch.setattr(verify, "char_poly_factors", refusing)
     code, out, err = run(
         capsys, "spectrum", "--group", "q4n", "--n", "2", "--matrix", "d",
         "--method", "oracle",

@@ -22,13 +22,18 @@ reduction, where it now splits off each checked twin eigenvalue and
 recurses on the leader block.  `non_commuting_graph` re-indexed every
 vertex's commutation mask, where it now re-indexes each distinct mask once;
 `distance_matrix` ran a BFS from every vertex, where it now runs one per
-distinct neighbourhood and transposes two entries of the twin's row.  Those
-copies are kept here as references.
+distinct neighbourhood and transposes two entries of the twin's row.
+`verify` expanded the oracle's char poly and the closed form, compared them
+coefficient by coefficient, and on a mismatch divided each closed factor out
+of the oracle polynomial once per unit of multiplicity, where it now compares
+the factored spectra entry by entry and expands only what a report holds.
+Those copies are kept here as references.
 """
 
 import struct
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, repeat
 from operator import sub
 
@@ -50,8 +55,10 @@ from ncgspectra import (
     IntPolynomial,
     NCGraph,
     QuadraticEig,
+    VerificationReport,
     char_poly,
     claimed_partition_sizes,
+    complete_multipartite,
     default_grid,
     distance_matrix,
     eigenbasis_q4n,
@@ -65,11 +72,15 @@ from ncgspectra import (
     partition_structure,
     predicted_integral,
     rational_roots_of_quadratic,
+    spectrum_for,
+    spectrum_to_polynomial,
 )
-from ncgspectra.exactalg import _twin_runs, products_but_one
+from ncgspectra.closedform import entry_factor
+from ncgspectra.exactalg import _twin_runs, char_poly_factors, products_but_one
 from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
-from ncgspectra.graphs import select_bits
+from ncgspectra.graphs import Oracle, select_bits
 from ncgspectra.groups import Rule, bit_indices
+from ncgspectra.verify import _compare
 
 from test_commutation import (
     LARGE_SPECS,
@@ -80,6 +91,7 @@ from test_commutation import (
     symmetric_group_4,
 )
 from test_groups import spec_id
+from test_kernels import mat_vec
 from test_twin_similarity import planted_twins
 
 D, DL, DQ = ALL_KINDS
@@ -216,7 +228,7 @@ def reference_eigenbasis_q4n(kind, n):
                 families.append(EigenFamily(mu_num // den, "scaled-constant", (vec,)))
     for family in families:
         for vec in family.vectors:
-            if matrix.mat_vec(vec) != tuple(family.eigenvalue * x for x in vec):
+            if mat_vec(matrix, vec) != tuple(family.eigenvalue * x for x in vec):
                 raise ArithmeticError(f"vector {vec} fails M v = {family.eigenvalue} v")
     return EigenbasisResult(kind, n, tuple(families), irrational)
 
@@ -725,3 +737,171 @@ def test_twin_row_distances_equal_the_every_vertex_copy_on_planted_twins(graph):
     assert _distance_outcome(distance_matrix, graph) == _distance_outcome(
         reference_every_vertex_distance_matrix, graph
     )
+
+
+def reference_factor_out(oracle_poly, spectrum):
+    residual = oracle_poly
+    leftover = []
+    for desc, mult in spectrum.entries:
+        factor = entry_factor(desc)
+        used = 0
+        while used < mult:
+            quot, rem = residual.divmod_monic(factor)
+            if not rem.is_zero:
+                break
+            residual = quot
+            used += 1
+        if used < mult:
+            leftover.append((desc, mult - used))
+    return residual, tuple(leftover)
+
+
+def reference_first_diff(a, b):
+    ca, cb = a.coeffs, b.coeffs
+    for i in range(max(len(ca), len(cb))):
+        va = ca[i] if i < len(ca) else 0
+        vb = cb[i] if i < len(cb) else 0
+        if va != vb:
+            return f"first differing coefficient at x^{i}: oracle={va}, closed={vb}"
+    return ""
+
+
+def reference_compare(spec, kind, staged):
+    """Both sides expanded and compared by coefficients; closed factors divided out one at a time."""
+    oracle_poly = char_poly(matrix_of_kind(staged.distance, kind))
+    spectrum = spectrum_for(spec, kind)
+    closed = spectrum_to_polynomial(spectrum)
+    matched = oracle_poly == closed
+    residual, leftover = (None, ()) if matched else reference_factor_out(oracle_poly, spectrum)
+    return VerificationReport(
+        spec,
+        kind,
+        staged.graph.order,
+        matched,
+        oracle_poly,
+        closed,
+        staged.partition,
+        diff_summary=reference_first_diff(oracle_poly, closed),
+        residual=residual,
+        unmatched_closed=leftover,
+    )
+
+
+def _compare_outcome(compare, spec, kind, staged):
+    try:
+        return compare(spec, kind, staged)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec", default_grid() + [GroupSpec.qd(8), GroupSpec.q4n(64)], ids=spec_id
+)
+def test_factored_comparison_equals_the_expanded_copy(spec):
+    staged = oracle(spec, 300)
+    reports = [_compare(spec, kind, staged) for kind in ALL_KINDS]
+    assert reports == [reference_compare(spec, kind, staged) for kind in ALL_KINDS]
+    # the stated QD_2^n and even-m M_2mn D^Q forms are refuted
+    refuted = spec.family == "qd" or spec.family == "metacyclic" and spec.m % 2 == 0 and spec.m != 4
+    assert [r.matched for r in reports] == [True, True, not refuted]
+
+
+_staged = cache(oracle)
+
+
+def _restate(mp, spec, kind, raw):
+    """Make spec's family state `raw` as the spectrum of `kind`, for a graph of its order."""
+    record = spec.record
+    count = sum((2 if isinstance(d, QuadraticEig) else 1) * m for d, m in raw)
+    mp.setitem(families.FAMILY_RECORDS, spec.family, record._replace(
+        parts=lambda n, m: (count, 0, 0),
+        closed_forms={**record.closed_forms, kind: lambda n, m: raw},
+    ))
+
+
+@st.composite
+def restated_forms(draw):
+    """A grid instance of graph order <= 30 and its stated spectrum, changed in one way.
+
+    An entry is dropped, shifted (an integer, or the sum of a pair), gives
+    part of its multiplicity to another entry, or becomes a pair whose
+    discriminant is not a square; or nothing changes.
+    """
+    spec = draw(st.sampled_from(RESTATED_SPECS))
+    kind = draw(st.sampled_from(ALL_KINDS))
+    entries = list(spectrum_for(spec, kind).entries)
+    i = draw(st.integers(0, len(entries) - 1))
+    desc, mult = entries[i]
+    change = draw(st.sampled_from(["none", "drop", "shift", "move", "surd"]))
+    if change == "drop":
+        del entries[i]
+    elif change == "shift":
+        delta = draw(st.integers(-3, 3).filter(bool))
+        if isinstance(desc, QuadraticEig):
+            entries[i] = (QuadraticEig(desc.s + delta, desc.p), mult)
+        else:
+            entries[i] = (desc + delta, mult)
+    elif change == "move":
+        j = draw(st.integers(0, len(entries) - 1).filter(lambda j: j != i))
+        moved = draw(st.integers(1, mult))
+        entries[i] = (desc, mult - moved)
+        entries[j] = (entries[j][0], entries[j][1] + moved)
+    elif change == "surd":
+        centre = desc.s // 2 if isinstance(desc, QuadraticEig) else desc
+        c = draw(st.integers(-12, 12).filter(lambda c: is_perfect_square(c) is None))
+        entries[i] = (QuadraticEig(2 * centre, centre * centre - c), mult)
+    return spec, kind, entries
+
+
+RESTATED_SPECS = [s for s in default_grid() if sum(claimed_partition_sizes(s)) <= 30]
+
+
+@settings(max_examples=300, deadline=None)
+@given(restated_forms())
+def test_factored_comparison_equals_the_expanded_copy_on_restated_forms(case):
+    spec, kind, raw = case
+    staged = _staged(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        _restate(mp, spec, kind, raw)
+        assert _compare_outcome(_compare, spec, kind, staged) == _compare_outcome(
+            reference_compare, spec, kind, staged
+        )
+
+
+def test_factored_comparison_keeps_a_cubic_block_unsplit():
+    # K_{1,2,3}: its three part sizes differ, so the leader block stays 3 x 3;
+    # x^3 - 6x^2 - 3x + 2 (D) has no rational root, x^3 - 12x^2 + 36x (D^L)
+    # is x (x - 6)^2
+    graph, partition = part_major(complete_multipartite((1, 2, 3)))
+    staged = Oracle(graph, partition, distance_matrix(graph))
+    blocks = [char_poly_factors(matrix_of_kind(staged.distance, kind))[1]
+              for kind in ALL_KINDS]
+    assert [b.degree for b in blocks] == [3, 3, 3]
+    spec = GroupSpec.q4n(2)  # Q_8: graph order 6, stated forms of K_{2,2,2}
+    for kind in ALL_KINDS:
+        report = _compare(spec, kind, staged)
+        assert not report.matched
+        assert report == reference_compare(spec, kind, staged)
+    stated = {
+        DL: [(0, 1), (6, 2), (8, 1), (9, 2)],  # the whole D^L spectrum
+        D: [(-2, 3), (QuadraticEig(6, -1), 1), (0, 1)],
+    }
+    for kind, raw in stated.items():
+        with pytest.MonkeyPatch.context() as mp:
+            _restate(mp, spec, kind, raw)
+            report = _compare(spec, kind, staged)
+            assert report == reference_compare(spec, kind, staged)
+            assert report.matched == (kind == DL)
+    with pytest.MonkeyPatch.context() as mp:
+        _restate(mp, spec, DL, [(0, 1), (6, 1), (7, 1), (8, 1), (9, 2)])
+        report = _compare(spec, DL, staged)
+        assert report == reference_compare(spec, DL, staged)
+        assert report.residual == IntPolynomial((-6, 1))
+        assert report.unmatched_closed == ((7, 1),)
+    with pytest.MonkeyPatch.context() as mp:
+        # every stated entry divides, but x - 6 is left of the block
+        _restate(mp, spec, DL, [(0, 1), (6, 1), (8, 1), (9, 2)])
+        report = _compare(spec, DL, staged)
+        assert report == reference_compare(spec, DL, staged)
+        assert (report.matched, report.unmatched_closed) == (False, ())
+        assert report.residual == IntPolynomial((-6, 1))

@@ -167,7 +167,7 @@ class TestVerifyGrid:
         def refusing(matrix):
             raise ArithmeticError("coefficient bound beyond the prime table")
 
-        monkeypatch.setattr(verify, "char_poly", refusing)
+        monkeypatch.setattr(verify, "char_poly_factors", refusing)
         specs = [GroupSpec.q4n(2), GroupSpec.u6n(1)]
         reports = verify_grid(specs, (D, DQ), jobs=1)
         assert [(r.group, r.kind) for r in reports] == [
@@ -187,7 +187,7 @@ class TestVerifyGrid:
         def broken(matrix):
             raise TypeError("not an instance failure")
 
-        monkeypatch.setattr(verify, "char_poly", broken)
+        monkeypatch.setattr(verify, "char_poly_factors", broken)
         with pytest.raises(TypeError):
             verify_grid([GroupSpec.q4n(2)], (D,), jobs=1)
 

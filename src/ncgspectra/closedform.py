@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .exactalg import (
@@ -26,6 +26,7 @@ from .exactalg import (
     QuadraticEig,
     products_but_one,
     rational_roots_of_quadratic,
+    twin_eigenvalue,
 )
 from .families import EigDesc, GroupSpec, MatrixKind
 from .graphs import PartitionStructure, matrix_of_kind, oracle
@@ -133,7 +134,7 @@ def multipartite_distance_charpoly(
     for (size, count), factor, other in zip(counts.items(), linear, others):
         bracket = bracket - count * size * other
         scale = scale * factor ** (count - 1)
-    # the sparse factor first: `*` skips its zero coefficients (L_2 = x)
+    # `*` loops over the sparser operand's nonzero coefficients (L_2 = x)
     return scale * bracket * IntPolynomial((2, 1)) ** (sum(sizes) - len(sizes))
 
 
@@ -195,6 +196,10 @@ _Q4N_FAMILIES = {
 }
 
 
+# The families of differences e_i - e_f of a part's vertex and its first vertex.
+_DIFFERENCES = frozenset({"small-part-difference", "big-part-difference"})
+
+
 def _on_blocks(order: int, *blocks: tuple[Sequence[int], int]) -> tuple[int, ...]:
     """The vector holding each block's value on its indices and 0 elsewhere."""
     v = [0] * order
@@ -220,9 +225,12 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     `irrational_pair`.  Vertices are in the certified part-major order.  A
     vector failing M v = eigenvalue * v on the actual matrix, or a family
     whose vector count is not its stated multiplicity, raises ArithmeticError.
-    Each vector is built from disjoint (indices, value) blocks, so M v is
-    the sum of value * S_J over its blocks J, where S_J, the sum of the
-    columns in J, is formed once per distinct block.
+    A difference e_i - e_f inside a part has M v = column i - column f, so it
+    is checked by `twin_eigenvalue`'s comparison of the two columns' slices,
+    with no n-length arithmetic.  Every other vector is built from disjoint
+    (indices, value) blocks, so M v is the sum of value * S_J over its blocks
+    J, where S_J, the sum of the columns in J, is formed once per distinct
+    block.
     """
     if kind == MatrixKind.DISTANCE:
         raise ValueError("eigenbasis is available for dl and dq only")
@@ -261,9 +269,7 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
 
     @cache
     def column_sum(indices: tuple[int, ...]) -> tuple[int, ...]:
-        if len(indices) == 1:
-            return columns[indices[0]]
-        return tuple(map(sum, zip(*itemgetter(*indices)(columns))))
+        return tuple(map(sum, zip(*(columns[j] for j in indices))))
 
     families = []
     for eigenvalue, label, vector_blocks, mult in stated:
@@ -275,9 +281,15 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
         vectors = tuple(_on_blocks(order, *blocks) for blocks in vector_blocks)
         families.append(EigenFamily(eigenvalue, label, vectors))
         for vec, blocks in zip(vectors, vector_blocks):
-            expected = tuple(map(mul, vec, repeat(eigenvalue)))
-            scaled = (map(mul, column_sum(J), repeat(x)) for J, x in blocks)
-            if tuple(reduce(partial(map, add), scaled)) != expected:
+            if label in _DIFFERENCES:
+                ((f,), _), ((i,), _) = blocks
+                holds = twin_eigenvalue(columns, f, i) == eigenvalue
+            else:
+                scaled = (map(mul, column_sum(J), repeat(x)) for J, x in blocks)
+                holds = tuple(reduce(partial(map, add), scaled)) == tuple(
+                    map(mul, vec, repeat(eigenvalue))
+                )
+            if not holds:
                 raise ArithmeticError(
                     f"vector {vec} fails M v = {eigenvalue} v for {kind} at n={n}"
                 )

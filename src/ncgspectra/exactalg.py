@@ -140,6 +140,10 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
+        # The outer loop skips zero coefficients; it runs over the operand
+        # whose nonzero count times the other's length is smaller.
+        if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -320,8 +324,13 @@ def _twin_runs(matrix: IntMatrix) -> list[range]:
     return runs
 
 
-def _twin_eigenvalue(cols: Sequence[Sequence[int]], s: int, v: int) -> int | None:
-    """lambda with column v - column s = lambda (e_v - e_s) for s < v, else None."""
+def twin_eigenvalue(cols: Sequence[Sequence[int]], s: int, v: int) -> int | None:
+    """lambda with column v - column s = lambda (e_v - e_s) for s < v, else None.
+
+    Column v minus column s is M (e_v - e_s), so the result is the eigenvalue
+    of that difference vector when it is one; the columns are compared by
+    tuple slices, with no n-length arithmetic.
+    """
     a, b = cols[s], cols[v]
     lam = b[v] - a[v]
     same = a[:s] == b[:s] and a[s + 1:v] == b[s + 1:v] and a[v + 1:] == b[v + 1:]
@@ -337,7 +346,7 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     compared with these factors without expanding them (`verify._compare`).
 
     For each run of `_twin_runs` with leader s and each other index v of it,
-    `_twin_eigenvalue` checks that column v minus column s is
+    `twin_eigenvalue` checks that column v minus column s is
     lambda_v (e_v - e_s).  If every check holds, M is block upper triangular
     in the basis of those differences and the leaders, so det(xI - M) =
     prod_v (x - lambda_v) * det(xI - B) for the leader block B, where B[i][j]
@@ -367,7 +376,7 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     roots: Counter[int] = Counter()
     while len(runs := _twin_runs(matrix)) < matrix.n:
         cols = matrix.columns
-        lams = [_twin_eigenvalue(cols, run.start, v) for run in runs for v in run[1:]]
+        lams = [twin_eigenvalue(cols, run.start, v) for run in runs for v in run[1:]]
         if None in lams:
             break
         roots.update(lams)

@@ -35,6 +35,59 @@ D = MatrixKind.DISTANCE
 DL = MatrixKind.DISTANCE_LAPLACIAN
 DQ = MatrixKind.DISTANCE_SIGNLESS_LAPLACIAN
 
+# The stated Q_4n forms, kept before any test restates one.
+RIGHT_Q4N_FORMS = dict(Q4N_FAMILY.closed_forms)
+
+# Index of each difference family's entry in the stated D^L and D^Q forms.
+DIFFERENCE_ENTRY = {
+    (DL, "small-part-difference"): 2,
+    (DL, "big-part-difference"): 3,
+    (DQ, "small-part-difference"): 0,
+    (DQ, "big-part-difference"): 1,
+}
+
+
+def shifted_entry(kind, index):
+    """The stated Q_4n form of `kind` with entry `index`'s eigenvalue one higher."""
+
+    def wrong(n, m):
+        raw = list(RIGHT_Q4N_FORMS[kind](n, m))
+        value, mult = raw[index]
+        raw[index] = (value + 1, mult)
+        return raw
+
+    return wrong
+
+
+def wrong_dl_eigenvalue(n, m):
+    return [(0, 1), (4 * n + 1, n), (4 * n, n), (6 * n - 4, 2 * n - 3)]
+
+
+def wrong_dl_multiplicity(n, m):
+    return [(0, 1), (4 * n - 2, n + 1), (4 * n, n), (6 * n - 4, 2 * n - 3)]
+
+
+def wrong_small_part_vs_small_part(n, m):
+    right = _q4n_dq_with_offset(n, 6 * n - 2)
+    return right[:2] + [(4 * n - 1, n - 1)] + right[3:]
+
+
+def wrong_scaled_constant_offset(n, m):
+    # one more than the stated offset moves both roots of the pair up by 1
+    return _q4n_dq_with_offset(n, 6 * n - 1)
+
+
+# Every restated Q_4n form the eigenbasis tests expect to be refuted.
+WRONG_Q4N_FORMS = {
+    "dl-eigenvalue": (DL, wrong_dl_eigenvalue),
+    "dl-multiplicity": (DL, wrong_dl_multiplicity),
+    "dq-small-part-vs-small-part": (DQ, wrong_small_part_vs_small_part),
+    "dq-scaled-constant": (DQ, wrong_scaled_constant_offset),
+} | {
+    f"{kind.value}-{label}": (kind, shifted_entry(kind, index))
+    for (kind, label), index in DIFFERENCE_ENTRY.items()
+}
+
 
 class TestQuadraticEig:
     def test_square_discriminant_splits(self):
@@ -366,10 +419,7 @@ class TestEigenbasis:
 
     @pytest.mark.parametrize(
         "wrong",
-        [
-            lambda n, m: [(0, 1), (4 * n + 1, n), (4 * n, n), (6 * n - 4, 2 * n - 3)],
-            lambda n, m: [(0, 1), (4 * n - 2, n + 1), (4 * n, n), (6 * n - 4, 2 * n - 3)],
-        ],
+        [wrong_dl_eigenvalue, wrong_dl_multiplicity],
         ids=["eigenvalue", "multiplicity"],
     )
     def test_wrong_stated_spectrum_raises(self, monkeypatch, wrong):
@@ -379,11 +429,9 @@ class TestEigenbasis:
                 eigenbasis_q4n(DL, n)
 
     def test_wrong_small_part_vs_small_part_eigenvalue_raises(self, monkeypatch):
-        def wrong(n, m):
-            right = _q4n_dq_with_offset(n, 6 * n - 2)
-            return right[:2] + [(4 * n - 1, n - 1)] + right[3:]
-
-        monkeypatch.setitem(Q4N_FAMILY.closed_forms, DQ, wrong)
+        monkeypatch.setitem(
+            Q4N_FAMILY.closed_forms, DQ, wrong_small_part_vs_small_part
+        )
         for n in (2, 3, 5):
             big = 2 * n - 2
             vec = (0,) * big + (-1, -1, 1, 1) + (0,) * (2 * n - 4)
@@ -392,12 +440,11 @@ class TestEigenbasis:
                 eigenbasis_q4n(DQ, n)
 
     def test_wrong_integral_scaled_constant_pair_raises(self, monkeypatch):
-        # one more than the stated offset moves both roots of the pair up by 1
         monkeypatch.setitem(
-            Q4N_FAMILY.closed_forms, DQ, lambda n, m: _q4n_dq_with_offset(n, 6 * n - 1)
+            Q4N_FAMILY.closed_forms, DQ, wrong_scaled_constant_offset
         )
         for n in (2, 3, 6):
-            pair = _q4n_dq_with_offset(n, 6 * n - 1)[3][0]
+            pair = wrong_scaled_constant_offset(n, None)[3][0]
             t = rational_roots_of_quadratic(*Q4N_FAMILY.t_quadratic(n, None))[0]
             vec = (t.numerator,) * (2 * n - 2) + (t.denominator,) * (2 * n)
             message = (
@@ -406,6 +453,22 @@ class TestEigenbasis:
             )
             with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
                 eigenbasis_q4n(DQ, n)
+
+    @pytest.mark.parametrize("kind, label", DIFFERENCE_ENTRY, ids=str)
+    def test_wrong_difference_eigenvalue_names_the_first_vector(
+        self, monkeypatch, kind, label
+    ):
+        index = DIFFERENCE_ENTRY[kind, label]
+        monkeypatch.setitem(Q4N_FAMILY.closed_forms, kind, shifted_entry(kind, index))
+        for n in (2, 3, 5):
+            # e_(f+1) - e_f for the first vertex f of the first part concerned
+            big, order = 2 * n - 2, 4 * n - 2
+            f = big if label == "small-part-difference" else 0
+            vec = (0,) * f + (-1, 1) + (0,) * (order - f - 2)
+            value = RIGHT_Q4N_FORMS[kind](n, None)[index][0] + 1
+            message = f"vector {vec} fails M v = {value} v for {kind} at n={n}"
+            with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+                eigenbasis_q4n(kind, n)
 
 
 class TestClaimedPartitions:

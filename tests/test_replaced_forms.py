@@ -27,20 +27,25 @@ distinct neighbourhood and transposes two entries of the twin's row.
 coefficient by coefficient, and on a mismatch divided each closed factor out
 of the oracle polynomial once per unit of multiplicity, where it now compares
 the factored spectra entry by entry and expands only what a report holds.
-Those copies are kept here as references.
+`eigenbasis_q4n` checked each difference e_i - e_f inside a part by forming
+M v and lambda v as n-tuples, where it now compares columns i and f by
+slices.  `IntPolynomial.__mul__` skipped the zero coefficients of its left
+operand only, where it now puts outside whichever operand that saves more
+products.  Those copies are kept here as references.
 """
 
 import struct
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial, reduce
 from itertools import accumulate, repeat
-from operator import sub
+from operator import add, itemgetter, mul, sub
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncgspectra.closedform as closedform
 import ncgspectra.families as families
 
 from ncgspectra import (
@@ -75,13 +80,19 @@ from ncgspectra import (
     spectrum_for,
     spectrum_to_polynomial,
 )
-from ncgspectra.closedform import entry_factor
+from ncgspectra.closedform import (
+    _Q4N_FAMILIES,
+    _differences,
+    _on_blocks,
+    entry_factor,
+)
 from ncgspectra.exactalg import _twin_runs, char_poly_factors, products_but_one
-from ncgspectra.families import METACYCLIC_FAMILY, scaled_root_pair
+from ncgspectra.families import METACYCLIC_FAMILY, Q4N_FAMILY, scaled_root_pair
 from ncgspectra.graphs import Oracle, select_bits
 from ncgspectra.groups import Rule, bit_indices
 from ncgspectra.verify import _compare
 
+from test_closedform import WRONG_Q4N_FORMS
 from test_commutation import (
     LARGE_SPECS,
     _certificate,
@@ -237,6 +248,124 @@ def reference_eigenbasis_q4n(kind, n):
 def test_eigenbasis_reads_the_record_like_the_literal_copy(n):
     for kind in (DL, DQ):
         assert eigenbasis_q4n(kind, n) == reference_eigenbasis_q4n(kind, n)
+
+
+def reference_eigenbasis_per_vector(kind, n):
+    if kind == D:
+        raise ValueError("eigenbasis is available for dl and dq only")
+    spec = GroupSpec.q4n(n)
+    graph, partition, distance = oracle(spec)
+    matrix, order = matrix_of_kind(distance, kind), graph.order
+    big, *small = partition.classes
+    shapes = {
+        "all-ones": lambda: [((tuple(range(order)), 1),)],
+        "big-part-vs-one-small-part": lambda: [
+            ((big, -1), (p, len(big) // len(p))) for p in small
+        ],
+        "small-part-difference": lambda: _differences(small),
+        "big-part-difference": lambda: _differences([big]),
+        "small-part-vs-small-part": lambda: [
+            ((small[0], -1), (p, 1)) for p in small[1:]
+        ],
+    }
+    stated = []
+    irrational = None
+    entries = spec.record.closed_forms[kind](n, None)
+    for (desc, mult), label in zip(entries, _Q4N_FAMILIES[kind], strict=True):
+        if not isinstance(desc, QuadraticEig):
+            stated.append((desc, label, shapes[label](), mult))
+        elif desc.integer_roots() is None:
+            irrational = desc
+        else:
+            ts = rational_roots_of_quadratic(*spec.record.t_quadratic(n, None))
+            if ts is None:
+                raise ArithmeticError(f"stated pair {desc} is integral, t is not")
+            rest = tuple(range(len(big), order))
+            for mu, t in zip(desc.integer_roots(), ts):
+                blocks = ((big, t.numerator), (rest, t.denominator))
+                stated.append((mu, label, [blocks], mult))
+    columns = matrix.columns
+
+    @cache
+    def column_sum(indices):
+        if len(indices) == 1:
+            return columns[indices[0]]
+        return tuple(map(sum, zip(*itemgetter(*indices)(columns))))
+
+    families = []
+    for eigenvalue, label, vector_blocks, mult in stated:
+        if len(vector_blocks) != mult:
+            raise ArithmeticError(
+                f"{label} has {len(vector_blocks)} vectors, stated "
+                f"multiplicity {mult}, for {kind} at n={n}"
+            )
+        vectors = tuple(_on_blocks(order, *blocks) for blocks in vector_blocks)
+        families.append(EigenFamily(eigenvalue, label, vectors))
+        for vec, blocks in zip(vectors, vector_blocks):
+            expected = tuple(map(mul, vec, repeat(eigenvalue)))
+            scaled = (map(mul, column_sum(J), repeat(x)) for J, x in blocks)
+            if tuple(reduce(partial(map, add), scaled)) != expected:
+                raise ArithmeticError(
+                    f"vector {vec} fails M v = {eigenvalue} v for {kind} at n={n}"
+                )
+    return EigenbasisResult(kind, n, tuple(families), irrational)
+
+
+def _eigenbasis_outcome(eigenbasis, kind, n):
+    try:
+        return eigenbasis(kind, n)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_column_check_equals_the_per_vector_copy(n):
+    for kind in (DL, DQ):
+        assert eigenbasis_q4n(kind, n) == reference_eigenbasis_per_vector(kind, n)
+
+
+@pytest.mark.parametrize("name", WRONG_Q4N_FORMS)
+def test_column_check_raises_like_the_per_vector_copy(name):
+    kind, wrong = WRONG_Q4N_FORMS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(Q4N_FAMILY.closed_forms, kind, wrong)
+        for n in (2, 3, 6):  # the D^Q pair has integer roots at these n
+            outcome = _eigenbasis_outcome(eigenbasis_q4n, kind, n)
+            assert outcome[0] is ArithmeticError
+            assert outcome == _eigenbasis_outcome(
+                reference_eigenbasis_per_vector, kind, n
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sampled_from([DL, DQ]),
+        st.integers(0, 4 * n - 3),
+        st.integers(0, 4 * n - 3),
+        st.integers(-2, 2).filter(bool),
+    ))
+)
+@example((2, DL, 3, 0, 1))  # a small part's second vertex: its difference fails
+@example((5, DQ, 17, 17, -1))  # the last small part's second vertex
+@example((4, DL, 0, 9, 2))  # the big part's first vertex: every big difference
+def test_column_check_fails_like_the_per_vector_copy_on_a_changed_entry(case):
+    # M with one entry changed: both checks must stop at the same vector
+    n, kind, i, j, delta = case
+    build = matrix_of_kind
+
+    def changed(distance, kind):
+        rows = [list(row) for row in build(distance, kind).rows]
+        rows[i][j] += delta
+        return IntMatrix(tuple(map(tuple, rows)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closedform, "matrix_of_kind", changed)
+        mp.setitem(globals(), "matrix_of_kind", changed)
+        assert _eigenbasis_outcome(eigenbasis_q4n, kind, n) == _eigenbasis_outcome(
+            reference_eigenbasis_per_vector, kind, n
+        )
 
 
 def reference_integer_roots(quad):
@@ -505,6 +634,47 @@ def test_part_major_equals_the_permuted_copy(spec):
 @given(relabelled_multipartite())
 def test_part_major_equals_the_permuted_copy_on_relabelled_graphs(graph):
     assert _certificate(part_major, graph) == _certificate(reference_part_major, graph)
+
+
+def reference_poly_mul(p, q):
+    a, b = p.coeffs, q.coeffs
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return IntPolynomial(out)
+
+
+_SPARSE_COEFFS = st.lists(
+    st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**100, 2**100)),
+    max_size=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SPARSE_COEFFS, _SPARSE_COEFFS)
+@example([0] * 9 + [1], [2, 1])  # x^9 (x + 2): the sparse operand on the left
+@example([2, 1], [0] * 9 + [1])  # ... and on the right
+@example([], [1, 2])
+def test_poly_mul_equals_the_left_operand_copy(a, b):
+    p, q = IntPolynomial(a), IntPolynomial(b)
+    assert (p * q).coeffs == reference_poly_mul(p, q).coeffs
+    assert (q * p).coeffs == (p * q).coeffs
+
+
+def test_zero_root_expansion_equals_the_left_operand_copy():
+    # QD_256's D form: (x+2)^189 x^63 (x^2 - 378x + 15872); x^63 is one row
+    dense, sparse = IntPolynomial((2, 1)) ** 189, IntPolynomial((0, 1)) ** 63
+    product = dense * sparse
+    assert product == reference_poly_mul(dense, sparse)
+    assert product.coeffs == (0,) * 63 + dense.coeffs
+    spectrum = spectrum_for(GroupSpec.qd(8), D)
+    assert spectrum_to_polynomial(spectrum) == reduce(
+        reference_poly_mul,
+        [entry_factor(desc) ** mult for desc, mult in spectrum.entries],
+        IntPolynomial((1,)),
+    )
 
 
 def reference_multipartite_distance_charpoly(sizes):

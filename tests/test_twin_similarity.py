@@ -28,7 +28,7 @@ from ncgspectra import (
     oracle,
 )
 import ncgspectra.exactalg as exactalg
-from ncgspectra.exactalg import _twin_eigenvalue, _twin_runs
+from ncgspectra.exactalg import _twin_runs, twin_eigenvalue
 
 from test_commutation import LARGE_SPECS
 
@@ -178,7 +178,7 @@ def test_twin_eigenvalue_is_the_column_check(case):
     lam = rows[v][v] - rows[v][s]
     holds = all(rows[u][v] - rows[u][s] == lam * ((u == v) - (u == s)) for u in range(n))
     expected = lam if holds else None
-    assert _twin_eigenvalue(IntMatrix.from_rows(rows).columns, s, v) == expected
+    assert twin_eigenvalue(IntMatrix.from_rows(rows).columns, s, v) == expected
 
 
 def test_refused_split_keeps_the_matrix():
@@ -186,8 +186,8 @@ def test_refused_split_keeps_the_matrix():
     rows = [[0, 1, 1], [1, 0, 2], [2, 2, 0]]
     matrix = IntMatrix.from_rows(rows)
     assert _twin_runs(matrix) == [range(3)]
-    assert _twin_eigenvalue(matrix.columns, 0, 1) == -1
-    assert _twin_eigenvalue(matrix.columns, 0, 2) is None
+    assert twin_eigenvalue(matrix.columns, 0, 1) == -1
+    assert twin_eigenvalue(matrix.columns, 0, 2) is None
     got, calls = dense_calls(matrix)
     assert [block for block, _ in calls] == [rows]
     assert got == char_poly_interpolation(matrix)
@@ -234,7 +234,7 @@ def test_twin_runs_are_the_certified_parts(spec):
         # every difference column passes the check, so every part splits
         cols = matrix.columns
         assert all(
-            _twin_eigenvalue(cols, run.start, v) is not None for run in runs for v in run[1:]
+            twin_eigenvalue(cols, run.start, v) is not None for run in runs for v in run[1:]
         )
         # and the recursion ends in one block of order at most 2
         _, calls = dense_calls(matrix)

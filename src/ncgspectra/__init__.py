@@ -25,10 +25,8 @@ from .exactalg import (
     IntMatrix,
     IntPolynomial,
     QuadraticEig,
-    bareiss_determinant,
     char_poly,
     char_poly_factors,
-    char_poly_interpolation,
     is_perfect_square,
     rational_roots_of_quadratic,
 )

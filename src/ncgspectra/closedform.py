@@ -24,7 +24,6 @@ from .exactalg import (
     IntPolynomial,
     POLY_ONE,
     QuadraticEig,
-    products_but_one,
     rational_roots_of_quadratic,
     twin_eigenvalue,
 )
@@ -105,12 +104,18 @@ def entry_factor(desc: EigDesc) -> IntPolynomial:
     raise NonIntegralSpectrum(f"cannot expand entry {desc!r}")
 
 
+def _expand(
+    entries: Iterable[tuple[EigDesc, int]], poly: IntPolynomial = POLY_ONE
+) -> IntPolynomial:
+    """poly times each entry's factor to its multiplicity, exactly."""
+    for desc, mult in entries:
+        poly = poly * entry_factor(desc) ** mult
+    return poly
+
+
 def spectrum_to_polynomial(spectrum: SpectrumSpec) -> IntPolynomial:
     """Expand the product of every entry's factor to its multiplicity, exactly."""
-    result = POLY_ONE
-    for desc, mult in spectrum.entries:
-        result = result * entry_factor(desc) ** mult
-    return result
+    return _expand(spectrum.entries)
 
 
 def multipartite_distance_charpoly(
@@ -128,12 +133,12 @@ def multipartite_distance_charpoly(
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     counts = Counter(sizes)
-    linear = [IntPolynomial((2 - s, 1)) for s in counts]
-    others = products_but_one(linear)
-    scale, bracket = POLY_ONE, linear[0] * others[0]
-    for (size, count), factor, other in zip(counts.items(), linear, others):
-        bracket = bracket - count * size * other
-        scale = scale * factor ** (count - 1)
+    linear = {size: IntPolynomial((2 - size, 1)) for size in counts}
+    scale, bracket = POLY_ONE, reduce(mul, linear.values())
+    for size, count in counts.items():
+        others = reduce(mul, (f for u, f in linear.items() if u != size), POLY_ONE)
+        bracket = bracket - count * size * others
+        scale = scale * linear[size] ** (count - 1)
     # `*` loops over the sparser operand's nonzero coefficients (L_2 = x)
     return scale * bracket * IntPolynomial((2, 1)) ** (sum(sizes) - len(sizes))
 

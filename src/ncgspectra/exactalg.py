@@ -1,35 +1,33 @@
 """Arbitrary-precision integer matrices, polynomials and exact characteristic polynomials.
 
 Everything here is exact: Python integers throughout, no floating point
-anywhere.  The characteristic polynomial has two independent implementations,
+anywhere.  There is one characteristic-polynomial engine, `char_poly`: the
+checked eigenvalues of twin indices split off, then a dense engine on what
+is left.  Indices i and i+1 are twins when their columns agree outside rows
+i and i+1 and the 2 x 2 block on them is symmetric with equal diagonal.  In
+each maximal run of twins, every difference e_v - e_s from the run's first
+index s is checked to be an eigenvector, column by column; if all are, they
+split off and the same step repeats on the leader block of the runs' first
+indices.  For the part-major D, D^L and D^Q of a complete multipartite graph
+the runs are its parts, with all parts of one vertex as a single run; for
+the four families here the recursion ends in a block of order at most 2.
+That block is reduced to upper Hessenberg form, and the Hessenberg
+recurrence is run, modulo a prime above twice an a-priori bound on the
+block's coefficients, so that the symmetric residues are the exact integers.
+The bound is C(n, k) * t^k for the coefficient of x^(n-k), where t is the
+ceiling of ||M||_F / sqrt(n) of the block; it holds by
+|e_k(lambda)| <= e_k(|lambda|), Maclaurin's inequality and Schur's
+inequality, and t never exceeds the largest absolute row sum.  The primes
+come from one ascending table: certified Proth primes k * 2^m + 1, whose bit
+lengths grow by at most 12.5% per step from 61 to 2,453 bits, among the
+Mersenne primes, which continue up to 2^44497 - 1, the end of the table.
+`char_poly_factors` returns the split eigenvalues and the last block's
+polynomial unexpanded, and `char_poly` multiplies them out.
 
-* `char_poly` -- the checked eigenvalues of twin indices split off, then
-  a dense engine on what is left.  Indices i and i+1 are twins when their
-  columns agree outside rows i and i+1 and the 2 x 2 block on them is
-  symmetric with equal diagonal.  In each maximal run of twins, every
-  difference e_v - e_s from the run's first index s is checked to be an
-  eigenvector, column by column; if all are, they split off and the same
-  step repeats on the leader block of the runs' first indices.  For the
-  part-major D, D^L and D^Q of a complete multipartite graph the runs are
-  its parts, with all parts of one vertex as a single run; for the four
-  families here the recursion ends in a block of order at most 2.  That
-  block is reduced to upper Hessenberg form, and the Hessenberg recurrence
-  is run, modulo a prime above twice an a-priori bound on the block's
-  coefficients, so that the symmetric residues are the exact integers.
-  The bound is C(n, k) * t^k for the coefficient of x^(n-k), where t is the
-  ceiling of ||M||_F / sqrt(n) of the block; it holds by
-  |e_k(lambda)| <= e_k(|lambda|), Maclaurin's inequality and Schur's
-  inequality, and t never exceeds the largest absolute row sum.  The primes
-  come from one ascending table: certified Proth primes k * 2^m + 1, whose
-  bit lengths grow by at most 12.5% per step from 61 to 2,453 bits, among
-  the Mersenne primes, which continue up to 2^44497 - 1, the end of the
-  table.  `char_poly_factors` returns the split eigenvalues and the last
-  block's polynomial unexpanded; `char_poly` multiplies them out; and
-* `char_poly_interpolation` -- fraction-free Bareiss determinants of xI - M at
-  n+1 integer points combined by Lagrange interpolation with a single exact
-  division by n! at the end.
-
-Their exact agreement is asserted by the test suite, not re-checked at runtime.
+The independent reference, fraction-free Bareiss determinants of xI - M at
+n+1 integer points fitted exactly by the Lagrange formula, lives with the
+tests in `tests/charpoly_reference.py`.  The test suite asserts the two agree
+exactly; nothing re-checks it at runtime.
 """
 
 from __future__ import annotations
@@ -140,6 +138,12 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
+        # A factor of 1 is common: every expansion starts from it, and it is
+        # the unsplit rest of every family matrix's char poly.
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         # The outer loop skips zero coefficients; it runs over the operand
         # whose nonzero count times the other's length is smaller.
         if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
@@ -432,88 +436,6 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     for lam, m in roots.items():
         poly = poly * IntPolynomial.x_minus(lam) ** m
     return poly
-
-
-def products_but_one(factors: Sequence[IntPolynomial]) -> list[IntPolynomial]:
-    """For each i, the product of every factor but factors[i], by prefix and suffix."""
-    prefix = [POLY_ONE]
-    for f in factors[:-1]:
-        prefix.append(prefix[-1] * f)
-    out = []
-    suffix = POLY_ONE
-    for i in reversed(range(len(factors))):
-        out.append(prefix[i] * suffix)
-        suffix = suffix * factors[i]
-    return out[::-1]
-
-
-def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def char_poly_interpolation(matrix: IntMatrix) -> IntPolynomial:
-    """det(xI - M) by Bareiss evaluation at n+1 points plus interpolation.
-
-    Independent cross-check for `char_poly`.  The Lagrange combination is done
-    over a common denominator n!, whose final division is exact because the
-    characteristic polynomial has integer coefficients.
-    """
-    n = matrix.n
-    if n == 0:
-        return POLY_ONE
-    points = [i - n // 2 for i in range(n + 1)]
-    values = []
-    for x in points:
-        shifted = [
-            [
-                (x if i == j else 0) - matrix.rows[i][j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        values.append(bareiss_determinant(shifted))
-    total = IntPolynomial()
-    others = products_but_one([IntPolynomial.x_minus(p) for p in points])
-    for i, other in enumerate(others):
-        weight = values[i] * math.comb(n, i)
-        if (n - i) % 2:
-            weight = -weight
-        total = total + weight * other
-    fact = math.factorial(n)
-    out = []
-    for c in total.coeffs:
-        q, r = divmod(c, fact)
-        if r:
-            raise ArithmeticError("interpolated polynomial is not integral")
-        out.append(q)
-    return IntPolynomial(out)
 
 
 def is_perfect_square(v: int) -> int | None:

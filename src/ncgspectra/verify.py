@@ -6,27 +6,22 @@ polynomial is kept factored, as `char_poly_factors` finds it: the checked
 twin eigenvalues and one dense block.  It is compared with the closed form
 entry by entry, as multisets of monic irreducible factors over Q, which by
 unique factorization decides equality of the expanded polynomials exactly.
-A match expands the closed form once, for both of the report's polynomials.
-A mismatch never aborts a grid run: it produces a report carrying both
-expanded polynomials, the first differing coefficient, the oracle's factors
-that the closed form lacks (the residual) and the closed-form entries that
-do not divide the oracle polynomial.
+A match and a mismatch build their report the same way: the entries both
+sides share are expanded once, and each side's own entries are multiplied
+in, for both polynomials and the first differing coefficient.  A mismatch
+never aborts a grid run: its report also carries the oracle's factors that
+the closed form lacks (the residual) and the closed-form entries that do not
+divide the oracle polynomial.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
-from .closedform import (
-    entry_factor,
-    make_spectrum,
-    spectrum_for,
-    spectrum_to_polynomial,
-)
+from .closedform import _expand, entry_factor, make_spectrum, spectrum_for
 from .exactalg import (
     POLY_ONE,
     IntPolynomial,
@@ -115,13 +110,6 @@ def _minus(
     return [(d, m - counts.get(d, 0)) for d, m in entries if m > counts.get(d, 0)]
 
 
-def _expand(entries: Iterable[tuple[EigDesc, int]], poly: IntPolynomial) -> IntPolynomial:
-    """poly times each entry's factor to its multiplicity."""
-    for desc, mult in entries:
-        poly = poly * entry_factor(desc) ** mult
-    return poly
-
-
 def _first_diff(a: IntPolynomial, b: IntPolynomial) -> str:
     ca, cb = a.coeffs, b.coeffs
     for i in range(max(len(ca), len(cb))):
@@ -151,10 +139,11 @@ def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationR
     `rest`: iff nothing is oracle-only, and the closed-only entries, divided
     out of `rest`, leave 1 and no multiplicity over.  Those are the residual
     and leftover that dividing the closed factors out of the expanded oracle
-    polynomial would give.  A match expands the closed form once, for both
-    polynomials.  A mismatch expands the entries the two sides share once,
-    then multiplies in each side's own, for both polynomials and
-    `diff_summary`.
+    polynomial would give.  Match or mismatch, one path builds the report:
+    the entries both sides share are expanded once, then each side's own
+    are multiplied in, for both polynomials and `diff_summary`.  A match's
+    two polynomials are equal, so its `diff_summary` is empty and its
+    residual None.
     """
     roots, block = char_poly_factors(matrix_of_kind(staged.distance, kind))
     spectrum = spectrum_for(spec, kind)
@@ -170,24 +159,20 @@ def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationR
     oracle_only = _minus(found, spectrum.entries)
     closed_only = _minus(spectrum.entries, found)
     residual, leftover = _factor_out(rest, closed_only)
-    if not oracle_only and not leftover and residual == POLY_ONE:
-        closed = spectrum_to_polynomial(spectrum)
-        return VerificationReport(
-            spec, kind, staged.graph.order, True, closed, closed, staged.partition
-        )
-    shared = _expand(_minus(spectrum.entries, closed_only), POLY_ONE)
+    matched = not oracle_only and not leftover and residual == POLY_ONE
+    shared = _expand(_minus(spectrum.entries, closed_only))
     oracle_poly = _expand(oracle_only, shared) * rest
     closed = _expand(closed_only, shared)
     return VerificationReport(
         spec,
         kind,
         staged.graph.order,
-        False,
+        matched,
         oracle_poly,
         closed,
         staged.partition,
         diff_summary=_first_diff(oracle_poly, closed),
-        residual=_expand(oracle_only, residual),
+        residual=None if matched else _expand(oracle_only, residual),
         unmatched_closed=leftover,
     )
 
@@ -234,6 +219,10 @@ def verify_grid(
     workers = jobs if jobs <= 1 else min(jobs, len(work), os.cpu_count() or 1)
     if workers <= 1:
         return [r for job in work for r in _verify_job(job)]
+    # imported here, not at the top: the pool machinery (multiprocessing)
+    # is about a third of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     size = math.ceil(len(work) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [r for batch in pool.map(_verify_job, work, chunksize=size) for r in batch]

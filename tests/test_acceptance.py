@@ -7,13 +7,14 @@ import random
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from ncgspectra import (
     ALL_KINDS,
     GroupSpec,
     MatrixKind,
     center,
     char_poly,
-    char_poly_interpolation,
     claimed_partition_sizes,
     complete_multipartite,
     distance_matrix,
@@ -30,9 +31,11 @@ from ncgspectra import (
     spectrum_for,
     verify_instance,
 )
+import ncgspectra.exactalg as exactalg
 from ncgspectra.exactalg import IntMatrix
 from ncgspectra.verify import _factor_out
 
+from charpoly_reference import char_poly_interpolation
 from test_kernels import mat_vec
 
 D = MatrixKind.DISTANCE
@@ -185,14 +188,21 @@ def test_criterion_5_eigenvector_suites():
                                 assert sum(a * b for a, b in zip(u, v)) == 0
 
 
+def criterion_6_random_matrices():
+    """Criterion 6's 50 seeded random matrices, of order 1 to 40."""
+    rng = random.Random(61803398)
+    matrices = []
+    for _ in range(50):
+        n = rng.randint(1, 40)
+        matrices.append(IntMatrix.from_rows(
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        ))
+    return matrices
+
+
 def test_criterion_6_charpoly_cross_check(grid_results):
     with criterion(6, "Hessenberg char poly == Bareiss interpolation, random + grid"):
-        rng = random.Random(61803398)
-        for _ in range(50):
-            n = rng.randint(1, 40)
-            matrix = IntMatrix.from_rows(
-                [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            )
+        for matrix in criterion_6_random_matrices():
             assert char_poly(matrix) == char_poly_interpolation(matrix)
         checked = 0
         for report in grid_results.reports:
@@ -202,6 +212,20 @@ def test_criterion_6_charpoly_cross_check(grid_results):
             assert char_poly_interpolation(matrix) == report.oracle_poly
             checked += 1
         assert checked >= 40
+
+
+def test_reference_char_poly_runs_without_the_engine(monkeypatch):
+    matrices = criterion_6_random_matrices()
+    expected = [char_poly(matrix) for matrix in matrices]
+
+    def refuse(*args):
+        raise AssertionError("the reference called the char-poly engine")
+
+    monkeypatch.setattr(exactalg, "_hessenberg_mod", refuse)
+    monkeypatch.setattr(exactalg, "char_poly_factors", refuse)
+    with pytest.raises(AssertionError, match="engine"):
+        char_poly(matrices[0])
+    assert [char_poly_interpolation(matrix) for matrix in matrices] == expected
 
 
 def test_criterion_7_structure_certification(grid_results):

@@ -22,13 +22,13 @@ from ncgspectra import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    char_poly_interpolation,
     default_grid,
     matrix_of_kind,
     oracle,
 )
 from ncgspectra.exactalg import _MERSENNE_EXPONENTS, _PRIMES, _PROTH_PRIMES
 
+from charpoly_reference import char_poly_interpolation
 from test_twin_similarity import dense_calls
 
 D = ALL_KINDS[0]

@@ -11,9 +11,7 @@ from ncgspectra import (
     GroupSpec,
     IntMatrix,
     IntPolynomial,
-    bareiss_determinant,
     char_poly,
-    char_poly_interpolation,
     is_perfect_square,
     matrix_of_kind,
     oracle,
@@ -21,6 +19,7 @@ from ncgspectra import (
 )
 from ncgspectra.graphs import MatrixKind
 
+from charpoly_reference import bareiss_determinant, char_poly_interpolation
 from test_kernels import mat_vec
 
 X = IntPolynomial((0, 1))

@@ -86,12 +86,13 @@ from ncgspectra.closedform import (
     _on_blocks,
     entry_factor,
 )
-from ncgspectra.exactalg import _twin_runs, char_poly_factors, products_but_one
+from ncgspectra.exactalg import _twin_runs, char_poly_factors
 from ncgspectra.families import METACYCLIC_FAMILY, Q4N_FAMILY, scaled_root_pair
 from ncgspectra.graphs import Oracle, select_bits
 from ncgspectra.groups import Rule, bit_indices
 from ncgspectra.verify import _compare
 
+from charpoly_reference import products_but_one
 from test_closedform import WRONG_Q4N_FORMS
 from test_commutation import (
     LARGE_SPECS,
@@ -657,6 +658,8 @@ _SPARSE_COEFFS = st.lists(
 @example([0] * 9 + [1], [2, 1])  # x^9 (x + 2): the sparse operand on the left
 @example([2, 1], [0] * 9 + [1])  # ... and on the right
 @example([], [1, 2])
+@example([1], [0, 0, 3])  # a factor of 1 returns the other operand
+@example([1, 0], [1])
 def test_poly_mul_equals_the_left_operand_copy(a, b):
     p, q = IntPolynomial(a), IntPolynomial(b)
     assert (p * q).coeffs == reference_poly_mul(p, q).coeffs
@@ -1075,3 +1078,17 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
         assert report == reference_compare(spec, DL, staged)
         assert (report.matched, report.unmatched_closed) == (False, ())
         assert report.residual == IntPolynomial((-6, 1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_a_stated_entry_beyond_the_oracle_is_refuted(kind):
+    # every oracle factor is stated, and one more: only the leftover differs
+    spec = GroupSpec.q4n(3)
+    staged = _staged(spec)
+    raw = [*spectrum_for(spec, kind).entries, (1000, 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        _restate(mp, spec, kind, raw)
+        report = _compare(spec, kind, staged)
+        assert report == reference_compare(spec, kind, staged)
+    assert (report.matched, report.residual) == (False, IntPolynomial((1,)))
+    assert report.unmatched_closed == ((1000, 1),)

@@ -21,7 +21,6 @@ from ncgspectra import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    char_poly_interpolation,
     default_grid,
     matrix_of_kind,
     multipartite_distance_charpoly,
@@ -30,6 +29,7 @@ from ncgspectra import (
 import ncgspectra.exactalg as exactalg
 from ncgspectra.exactalg import _twin_runs, twin_eigenvalue
 
+from charpoly_reference import char_poly_interpolation
 from test_commutation import LARGE_SPECS
 
 ENTRY = st.integers(-6, 6)

@@ -198,6 +198,8 @@ class TestVerifyGrid:
         assert serial == parallel
 
     def test_pool_workers_clamped_to_cpus_and_work(self, monkeypatch):
+        import concurrent.futures
+
         import ncgspectra.verify as verify
 
         requested = []
@@ -216,7 +218,8 @@ class TestVerifyGrid:
                 assert chunksize == -(-len(work) // (4 * requested[-1]))
                 return map(fn, work)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        # verify_grid imports the pool class only when a pool runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         specs = [GroupSpec.u6n(n) for n in (1, 2)]
         serial = verify_grid(specs, ALL_KINDS, jobs=1)
@@ -267,6 +270,17 @@ class TestVerifyGrid:
         assert grid_results.reports == [
             verify_instance(spec, kind) for spec in default_grid() for kind in ALL_KINDS
         ]
+
+    def test_one_report_path_on_the_default_grid(self, grid_results):
+        # a match and a mismatch are built by the same code, so these agree
+        reports = [r for r in grid_results.reports if r.error is None]
+        assert any(r.matched for r in reports) and not all(r.matched for r in reports)
+        for r in reports:
+            assert r.matched == (r.oracle_poly == r.closed_poly)
+            assert r.matched == (r.diff_summary == "")
+            assert r.matched == (r.residual is None)
+            if r.matched:
+                assert r.unmatched_closed == ()
 
     def test_default_grid_shape(self):
         specs = default_grid()

@@ -59,7 +59,6 @@ from .groups import (
     centralizer,
     enumerate_elements,
     is_ca_group,
-    multiply,
 )
 from .verify import (
     DEFAULT_ORDER_CAP,

@@ -8,17 +8,18 @@ on the family.
 
 Each group is presented by two generators a, b and every element has a unique
 normal form a^i b^j with 0 <= i < oa, 0 <= j < ob.  A family states its
-presentation as five numbers, `Presentation(oa, ob, s, r, q)`: a^oa = 1,
-b^ob = a^s and b a = a^r b^q.  One product rule, `groups.normal_form_rule`,
+presentation as four numbers, `Presentation(oa, ob, s, r)`: a^oa = 1,
+b^ob = a^s and b a = a^r b.  One product rule, `groups.normal_form_rule`,
 reads every group from them:
 
-* generalized quaternion Q_4n:  (2n, 2, n, -1, 1): a^(2n) = 1, b^2 = a^n,
+* generalized quaternion Q_4n:  (2n, 2, n, -1): a^(2n) = 1, b^2 = a^n,
   b a = a^-1 b
-* quasidihedral QD_2^n:         (2^(n-1), 2, 0, 2^(n-2)-1, 1):
+* quasidihedral QD_2^n:         (2^(n-1), 2, 0, 2^(n-2)-1):
   a^(2^(n-1)) = b^2 = 1, b a b^-1 = a^(2^(n-2)-1)
-* U_6n:                         (2n, 3, 0, 1, -1): a^(2n) = b^3 = 1,
-  a^-1 b a = b^-1
-* metacyclic M_2mn:             (m, 2n, 0, -1, 1): a^m = b^(2n) = 1,
+* U_6n:                         (3, 2n, 0, -1): a^3 = b^(2n) = 1,
+  b a b^-1 = a^-1; the paper's A^(2n) = B^3 = 1, A^-1 B A = B^-1 with the
+  generators exchanged, through A^i B^j -> a^((-1)^i j mod 3) b^i
+* metacyclic M_2mn:             (m, 2n, 0, -1): a^m = b^(2n) = 1,
   b a b^-1 = a^-1
 
 The closed forms are transcribed exactly as stated, including forms suspected
@@ -73,20 +74,18 @@ RawSpectrum = list[tuple[EigDesc, int]]
 
 
 class Presentation(NamedTuple):
-    """a^oa = 1, b^ob = a^s and b a = a^r b^q, with normal forms a^i b^j.
+    """a^oa = 1, b^ob = a^s and b a = a^r b, with normal forms a^i b^j.
 
-    The product rule needs oa, ob >= 1, r = 1 or q = 1, r^2 = 1 (mod oa)
-    and q^2 = 1 (mod ob), with ob even unless r = 1 and oa even unless
-    q = 1; s = 0 unless q = 1, and s (r - 1) = 0 (mod oa), so that a^s is
-    central.  r, s are read mod oa and q mod ob; `groups.normal_form_rule`
-    raises ValueError naming the first of these that a tuple breaks.
+    The product rule needs oa, ob >= 1, r^2 = 1 (mod oa), ob even unless
+    r = 1, and s (r - 1) = 0 (mod oa), so that a^s is central.  r and s are
+    read mod oa; `groups.normal_form_rule` raises ValueError naming the
+    first of these that a tuple breaks.
     """
 
     oa: int
     ob: int
     s: int
     r: int
-    q: int
 
 
 class Family(NamedTuple):
@@ -211,7 +210,7 @@ Q4N_FAMILY = Family(
     min_n=2,
     min_m=None,
     label=lambda n, m: f"Q_{4 * n}",
-    presentation=lambda n, m: Presentation(2 * n, 2, n, -1, 1),
+    presentation=lambda n, m: Presentation(2 * n, 2, n, -1),
     parts=lambda n, m: (2 * n - 2, 2, n),
     closed_forms={
         D: lambda n, m: [
@@ -242,7 +241,7 @@ QD_FAMILY = Family(
     min_n=4,
     min_m=None,
     label=lambda n, m: f"QD_{2 ** n}",
-    presentation=lambda n, m: Presentation(2 ** (n - 1), 2, 0, 2 ** (n - 2) - 1, 1),
+    presentation=lambda n, m: Presentation(2 ** (n - 1), 2, 0, 2 ** (n - 2) - 1),
     parts=_at_quarter(Q4N_FAMILY.parts),
     closed_forms={
         D: _at_quarter(Q4N_FAMILY.closed_forms[D]),
@@ -255,13 +254,14 @@ QD_FAMILY = Family(
 
 
 # ------------------------------------------------------------------ U_6n
-# Graph K_{2n, n, n, n} of order 5n; D^Q is stated integral for all n.
+# Graph K_{2n, n, n, n} of order 5n; D^Q is stated integral for all n.  The
+# group is M_2mn at m = 3, and so are its stated forms.
 
 U6N_FAMILY = Family(
     min_n=1,
     min_m=None,
     label=lambda n, m: f"U_{6 * n}",
-    presentation=lambda n, m: Presentation(2 * n, 3, 0, 1, -1),
+    presentation=lambda n, m: Presentation(3, 2 * n, 0, -1),
     parts=lambda n, m: (2 * n, n, 3),
     closed_forms={
         D: lambda n, m: [
@@ -355,7 +355,7 @@ METACYCLIC_FAMILY = Family(
     min_n=1,
     min_m=3,
     label=lambda n, m: f"M_{2 * m * n}",
-    presentation=lambda n, m: Presentation(m, 2 * n, 0, -1, 1),
+    presentation=lambda n, m: Presentation(m, 2 * n, 0, -1),
     parts=_even_m_at_odd(lambda n, m: ((m - 1) * n, n, m)),
     closed_forms={
         D: _even_m_at_odd(_metacyclic_d),

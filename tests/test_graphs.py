@@ -63,7 +63,7 @@ def test_abelian_group_rejected():
     cyclic = RegularGroup(
         GroupSpec.u6n(1), tuple(GroupElement(i, 0) for i in range(5)), cyclic_mult
     )
-    presented = FiniteGroup(GroupSpec.u6n(1), Presentation(5, 1, 0, 1, 1))
+    presented = FiniteGroup(GroupSpec.u6n(1), Presentation(5, 1, 0, 1))
     assert presented.elements == cyclic.elements
     for group in (cyclic, presented):
         with pytest.raises(AbelianGroupError, match="^U_6 is abelian, no vertices$"):

@@ -12,7 +12,11 @@ division of the scale now serve.  That function itself built two Fractions
 and compared them, where it now orders the numerators by the sign of a and
 returns an int for each root that 2a divides.  Each family derived its
 product by hand in a rewrite closure of its own, beside a callable giving
-the orders of a and b, where one rule now reads a five-number presentation.
+the orders of a and b, where one rule now reads a four-number presentation;
+U_6n was presented as the paper prints it, A^(2n) = B^3 = 1 and
+A^-1 B A = B^-1, with a fifth number for the twist of b and masks from a
+second congruence, where it is now a^3 = b^(2n) = 1, b a b^-1 = a^-1, the
+same group with its generators exchanged.
 `part_major` re-indexed every neighbour mask of the certified graph into
 part-major order, where the rows are now read from the certified part sizes;
 the distance polynomial of K_{n_1,...,n_k} took a product over every part,
@@ -38,7 +42,8 @@ import struct
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
+from math import gcd
 from operator import add, itemgetter, mul, sub
 
 import pytest
@@ -61,6 +66,7 @@ from ncgspectra import (
     NCGraph,
     QuadraticEig,
     VerificationReport,
+    center,
     char_poly,
     claimed_partition_sizes,
     complete_multipartite,
@@ -89,13 +95,14 @@ from ncgspectra.closedform import (
 from ncgspectra.exactalg import _twin_runs, char_poly_factors
 from ncgspectra.families import METACYCLIC_FAMILY, Q4N_FAMILY, scaled_root_pair
 from ncgspectra.graphs import Oracle, select_bits
-from ncgspectra.groups import Rule, bit_indices
+from ncgspectra.groups import Rule, _progression, bit_indices
 from ncgspectra.verify import _compare
 
 from charpoly_reference import products_but_one
 from test_closedform import WRONG_Q4N_FORMS
 from test_commutation import (
     LARGE_SPECS,
+    RegularGroup,
     _certificate,
     reference_commuting_masks,
     relabelled_multipartite,
@@ -570,6 +577,12 @@ def reference_u6n_rewrite(n: int, m: None) -> Rule:
     return mult
 
 
+def u6n_exchange(n: int, x: GroupElement) -> GroupElement:
+    """phi(A^i B^j) = a^((-1)^i j mod 3) b^i, from the paper's U_6n to its presentation."""
+    i, j = x
+    return GroupElement((-j if i & 1 else j) % 3, i)
+
+
 def reference_metacyclic_rewrite(n: int, m: int) -> Rule:
     nn = 2 * n
 
@@ -582,12 +595,17 @@ def reference_metacyclic_rewrite(n: int, m: int) -> Rule:
     return mult
 
 
-# family -> (generator orders, rewrite closure), as each family record held them
+def unchanged(n: int, x: GroupElement) -> GroupElement:
+    return x
+
+
+# family -> (generator orders, rewrite closure), as each family record held
+# them, and the isomorphism onto the presentation's normal forms
 REFERENCE_REWRITES = {
-    "q4n": (lambda n, m: (2 * n, 2), reference_q4n_rewrite),
-    "qd": (lambda n, m: (2 ** (n - 1), 2), reference_qd_rewrite),
-    "u6n": (lambda n, m: (2 * n, 3), reference_u6n_rewrite),
-    "metacyclic": (lambda n, m: (m, 2 * n), reference_metacyclic_rewrite),
+    "q4n": (lambda n, m: (2 * n, 2), reference_q4n_rewrite, unchanged),
+    "qd": (lambda n, m: (2 ** (n - 1), 2), reference_qd_rewrite, unchanged),
+    "u6n": (lambda n, m: (2 * n, 3), reference_u6n_rewrite, u6n_exchange),
+    "metacyclic": (lambda n, m: (m, 2 * n), reference_metacyclic_rewrite, unchanged),
 }
 
 REWRITE_SPECS = (
@@ -600,17 +618,67 @@ REWRITE_SPECS = (
 
 @pytest.mark.parametrize("spec", REWRITE_SPECS, ids=spec_id)
 def test_product_rule_equals_the_rewrite_closures(spec):
-    orders, rewrite = REFERENCE_REWRITES[spec.family]
+    orders, rewrite, iso = REFERENCE_REWRITES[spec.family]
     oa, ob = orders(spec.n, spec.m)
     g = enumerate_elements(spec)
-    assert g.elements == tuple(GroupElement(a, b) for b in range(ob) for a in range(oa))
+    elems = tuple(GroupElement(a, b) for b in range(ob) for a in range(oa))
+    image = [iso(spec.n, x) for x in elems]
+    # a bijection onto the normal forms, and the identity on the listed order
+    # unless the presentation exchanges the generators
+    assert sorted(image, key=itemgetter(1, 0)) == list(g.elements)
     assert spec.order == oa * ob
     reference = rewrite(spec.n, spec.m)
     n = g.order
-    for x in g.elements:
-        products = list(map(g.mult, repeat(x, n), g.elements))
-        assert products == list(map(reference, repeat(x, n), g.elements))
+    for x, image_x in zip(elems, image):
+        products = list(map(g.mult, repeat(image_x, n), image))
+        assert products == [iso(spec.n, reference(x, y)) for y in elems]
         assert {type(p) for p in products} == {GroupElement}
+
+
+def _masks_r_one(oa: int, ob: int, q: int) -> list[int]:
+    """Masks when r = 1 and s = 0: the b-congruence j (q^k - 1) = l (q^i - 1) (mod ob).
+
+    With t = ob / gcd(q - 1, ob) it reads, by the parities of i and k:
+    i, k even: every l; i even, k odd: every l if t | j, else none;
+    i odd, k even: t | l; i, k odd: l = j (mod t).  So a mask is the even-k
+    and the odd-k bits of a block, each tiled over a progression of blocks,
+    and it depends on (i mod 2, j mod t) only; oa is even as q != 1.
+    """
+    h = gcd(q - 1, ob)
+    t = ob // h
+    even_k = _progression(2, oa // 2)
+    odd_k = even_k << 1
+    blocks_t = _progression(oa * t, h)
+    partial = even_k * _progression(oa, ob)
+    i_even = [partial | odd_k * _progression(oa, ob)] + [partial] * (t - 1)
+    i_odd = [even_k * blocks_t | odd_k * (blocks_t << oa * u) for u in range(t)]
+    rows = ([even, odd] * (oa // 2) for even, odd in zip(i_even, i_odd))
+    # row j is row j mod t of these, as t divides ob
+    return list(chain.from_iterable(rows)) * h
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec.u6n(n) for n in range(1, 101)] + [GroupSpec.u6n(1000)], ids=spec_id
+)
+def test_masks_and_center_equal_the_b_congruence_copy_under_the_exchange(spec):
+    # The paper's presentation (2n, 3, 0, 1, -1): a^(2n) = b^3 = 1 and
+    # b a = a b^-1, whose masks came from the b-congruence.
+    n = spec.n
+    g = enumerate_elements(spec)
+    elems = tuple(GroupElement(i, j) for j in range(3) for i in range(2 * n))
+    masks = _masks_r_one(2 * n, 3, -1)
+    if n < 20:
+        paper_group = RegularGroup(spec, elems, reference_u6n_rewrite(n, None))
+        assert tuple(masks) == reference_commuting_masks(paper_group)
+    image = [g.index[u6n_exchange(n, x)] for x in elems]
+    preimage = sorted(range(g.order), key=image.__getitem__)
+    # bit p of a mask read at the new indices is bit preimage[p] of the old
+    permuted = {mask: select_bits((mask,), preimage)[0] for mask in set(masks)}
+    assert g.commuting_masks == tuple(permuted[masks[u]] for u in preimage)
+    everything = (1 << g.order) - 1
+    paper_center = {x for x, mask in zip(elems, masks) if mask == everything}
+    assert center(g) == {u6n_exchange(n, x) for x in paper_center}
+    assert len(paper_center) == n
 
 
 def reference_part_major(graph):

@@ -14,13 +14,10 @@ the four families here the recursion ends in a block of order at most 2.
 That block is reduced to upper Hessenberg form, and the Hessenberg
 recurrence is run, modulo a prime above twice an a-priori bound on the
 block's coefficients, so that the symmetric residues are the exact integers.
-The bound is C(n, k) * t^k for the coefficient of x^(n-k), where t is the
-ceiling of ||M||_F / sqrt(n) of the block; it holds by
-|e_k(lambda)| <= e_k(|lambda|), Maclaurin's inequality and Schur's
-inequality, and t never exceeds the largest absolute row sum.  The primes
-come from one ascending table: certified Proth primes k * 2^m + 1, whose bit
-lengths grow by at most 12.5% per step from 61 to 2,453 bits, among the
-Mersenne primes, which continue up to 2^44497 - 1, the end of the table.
+The bound is C(n, k) * rho^k for the coefficient of x^(n-k), where rho is
+the largest absolute row sum of the block, which bounds every eigenvalue's
+modulus.  The primes are the Mersenne primes from 2^61 - 1 up to
+2^44497 - 1, the end of the table.
 `char_poly_factors` returns the split eigenvalues and the last block's
 polynomial unexpanded, and `char_poly` multiplies them out.
 
@@ -243,29 +240,7 @@ _MERSENNE_EXPONENTS = (
     4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497,
 )
 
-# Proth primes p = k * 2^m + 1 as (m, k, a), filling the Mersenne gaps up to
-# 2,453 bits.  Rule: bit lengths L_0 = 61, L_{i+1} = floor(9 L_i / 8) up to
-# the first L >= 2429 (the row-sum bound of QD_2^8's D^L matrix); for
-# each L, the smallest odd k with m = L - bitlen(k), and the smallest prime
-# a with a^((p - 1)/2) = -1 (mod p).  Since k < 2^m, that witness proves p
-# prime (Proth, 1878).
-_PROTH_PRIMES = (
-    (66, 3, 5), (70, 39, 5), (81, 9, 7), (92, 7, 3), (97, 315, 11),
-    (111, 129, 5), (128, 21, 5), (141, 141, 5), (159, 225, 13),
-    (180, 127, 3), (206, 9, 5), (231, 29, 3), (257, 239, 3),
-    (291, 107, 3), (326, 469, 3), (370, 39, 5), (414, 327, 7),
-    (467, 137, 3), (526, 189, 5), (594, 49, 3), (666, 375, 7),
-    (750, 423, 5), (845, 233, 3), (947, 3639, 5), (1070, 193, 3),
-    (1205, 125, 3), (1352, 1407, 5), (1522, 1159, 3), (1713, 1859, 3),
-    (1930, 357, 11), (2167, 8219, 3), (2443, 929, 3),
-)
-
-# Every char-poly modulus, ascending: consecutive bit lengths differ by at
-# most 12.5% up to the top Proth prime, then the Mersenne primes continue.
-_PRIMES = tuple(sorted(
-    [(1 << e) - 1 for e in _MERSENNE_EXPONENTS]
-    + [k << m | 1 for m, k, _ in _PROTH_PRIMES]
-))
+_PRIMES = tuple((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
 
 
 def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
@@ -361,17 +336,13 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     is checked, so the result is exact for any input.
 
     The last block, M of order n from here on, goes to the dense engine.
-    The coefficient of x^(n-k) is (-1)^k e_k of the eigenvalues, so its
-    modulus is at most e_k(|lambda|) <= C(n, k) * mean(|lambda|)^k by
-    Maclaurin's inequality.  The mean is at most the root mean square, which
-    by Schur's inequality is at most ||M||_F / sqrt(n).  So with the integer
-    t = ceil(sqrt(ceil(||M||_F^2 / n))) every coefficient is bounded by
-    beta = max_k C(n, k) * t^k.  Since ||M||_F^2 <= n * rho^2, where rho is
-    the largest absolute row sum, t <= rho, so beta never exceeds
-    max_k C(n, k) * rho^k.  The work is done modulo the smallest tabulated
-    prime p > 2 beta, where the symmetric residues in (-p/2, p/2] are the
-    integer coefficients themselves.  M is reduced to upper Hessenberg form
-    H by a similarity mod p, and det(xI - H) follows from the recurrence
+    The coefficient of x^(n-k) is (-1)^k e_k of the eigenvalues.  Every
+    eigenvalue's modulus is at most rho, the largest absolute row sum, so
+    every coefficient is bounded by beta = max_k C(n, k) * rho^k.  The work
+    is done modulo the smallest tabulated prime p > 2 beta, where the
+    symmetric residues in (-p/2, p/2] are the integer coefficients
+    themselves.  M is reduced to upper Hessenberg form H by a similarity
+    mod p, and det(xI - H) follows from the recurrence
     over its leading principal submatrices (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.2.9).  Raises ArithmeticError, rather
     than return an unproven result, when 2 beta reaches the largest
@@ -391,10 +362,8 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     if n == 0:
         return roots, POLY_ONE
     rows = matrix.rows
-    mean_square = -(-sum(sum(map(mul, row, row)) for row in rows) // n)
-    root = math.isqrt(mean_square)
-    t = root + (root * root < mean_square)
-    bound = max(math.comb(n, k) * t**k for k in range(n + 1))
+    rho = max(sum(map(abs, row)) for row in rows)
+    bound = max(math.comb(n, k) * rho**k for k in range(n + 1))
     index = bisect_right(_PRIMES, 2 * bound)
     if index == len(_PRIMES):
         raise ArithmeticError(

@@ -200,10 +200,20 @@ def criterion_6_random_matrices():
     return matrices
 
 
-def test_criterion_6_charpoly_cross_check(grid_results):
+def test_criterion_6_charpoly_cross_check(grid_results, monkeypatch):
     with criterion(6, "Hessenberg char poly == Bareiss interpolation, random + grid"):
-        for matrix in criterion_6_random_matrices():
-            assert char_poly(matrix) == char_poly_interpolation(matrix)
+        matrices = criterion_6_random_matrices()
+        expected = [char_poly(matrix) for matrix in matrices]
+
+        def refuse(*args):
+            raise AssertionError("the reference called the char-poly engine")
+
+        # every reference call below runs with the engine disabled
+        monkeypatch.setattr(exactalg, "_hessenberg_mod", refuse)
+        monkeypatch.setattr(exactalg, "char_poly_factors", refuse)
+        with pytest.raises(AssertionError, match="engine"):
+            char_poly(matrices[0])
+        assert [char_poly_interpolation(matrix) for matrix in matrices] == expected
         checked = 0
         for report in grid_results.reports:
             if report.kind != D or report.order > 60:
@@ -212,20 +222,6 @@ def test_criterion_6_charpoly_cross_check(grid_results):
             assert char_poly_interpolation(matrix) == report.oracle_poly
             checked += 1
         assert checked >= 40
-
-
-def test_reference_char_poly_runs_without_the_engine(monkeypatch):
-    matrices = criterion_6_random_matrices()
-    expected = [char_poly(matrix) for matrix in matrices]
-
-    def refuse(*args):
-        raise AssertionError("the reference called the char-poly engine")
-
-    monkeypatch.setattr(exactalg, "_hessenberg_mod", refuse)
-    monkeypatch.setattr(exactalg, "char_poly_factors", refuse)
-    with pytest.raises(AssertionError, match="engine"):
-        char_poly(matrices[0])
-    assert [char_poly_interpolation(matrix) for matrix in matrices] == expected
 
 
 def test_criterion_7_structure_certification(grid_results):

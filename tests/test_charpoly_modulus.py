@@ -1,13 +1,14 @@
-"""The char-poly modulus: the prime table, the coefficient bound, and the row-sum engine it replaced.
+"""The char-poly modulus: the prime table, the coefficient bound, and the row-sum engine.
 
-`char_poly` bounded every coefficient by C(n, k) * rho^k, rho the largest
-absolute row sum, and worked modulo the smallest Mersenne prime above twice
-that bound.  It now takes t = ceil(sqrt(ceil(||M||_F^2 / n))), which never
-exceeds rho, in place of rho and picks from a table where certified Proth
-primes fill the Mersenne gaps.  The old engine is kept here as the
-reference: only the size of the modulus may change, never a coefficient.
-The bound and the prime are now taken from the block left after the checked
-twin split, which on the paper's matrices has order at most 2.
+`char_poly` bounds every coefficient of the block that reaches the dense
+engine by C(n, k) * rho^k, rho the block's largest absolute row sum, and
+works modulo the smallest Mersenne prime above twice that bound.  The
+bound and the prime are taken from the block left after the checked twin
+split, which on the paper's matrices has order at most 2.  The whole-matrix
+row-sum engine is kept here as the reference: the split may change the
+block and its modulus, never a coefficient.  The coefficients also lie
+within the tighter bound C(n, k) * t^k with t = ceil(||M||_F / sqrt(n)), by
+Maclaurin's and Schur's inequalities.
 """
 
 import math
@@ -26,10 +27,10 @@ from ncgspectra import (
     matrix_of_kind,
     oracle,
 )
-from ncgspectra.exactalg import _MERSENNE_EXPONENTS, _PRIMES, _PROTH_PRIMES
+from ncgspectra.exactalg import _MERSENNE_EXPONENTS, _PRIMES
 
 from charpoly_reference import char_poly_interpolation
-from test_twin_similarity import dense_calls
+from test_twin_similarity import dense_calls, planted_twins
 
 D = ALL_KINDS[0]
 
@@ -112,26 +113,11 @@ def bound_base(matrix):
     return t
 
 
-def test_proth_entries_are_certified_primes():
-    assert len(_PROTH_PRIMES) == len({m for m, _, _ in _PROTH_PRIMES})
-    for m, k, a in _PROTH_PRIMES:
-        p = k * 2**m + 1
-        assert k % 2 == 1 and 0 < k < 2**m
-        assert pow(a, (p - 1) // 2, p) == p - 1
-        assert p in _PRIMES
-
-
-def test_prime_table_is_one_fine_ascending_ladder():
-    assert list(_PRIMES) == sorted(set(_PRIMES))
-    assert set(_PRIMES) == {2**e - 1 for e in _MERSENNE_EXPONENTS} | {
-        k * 2**m + 1 for m, k, _ in _PROTH_PRIMES
-    }
-    bits = [p.bit_length() for p in _PRIMES]
-    top = max(k * 2**m + 1 for m, k, _ in _PROTH_PRIMES)
-    ladder = bits[: _PRIMES.index(top) + 1]
-    assert ladder[0] == 61 and ladder[-1] >= 2429
-    assert all(8 * nxt <= 9 * prev for prev, nxt in zip(ladder, ladder[1:]))
-    assert _PRIMES[-1] == 2**44497 - 1
+def test_prime_table_is_the_mersenne_primes_from_61_bits():
+    assert _PRIMES == tuple(2**e - 1 for e in (
+        61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+        4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497,
+    ))
 
 
 def _rows(n):
@@ -156,6 +142,25 @@ def test_coefficients_within_the_frobenius_bound(rows):
         assert t <= max(sum(abs(x) for x in row) for row in rows)
         for k in range(n + 1):
             assert abs(got.coeffs[n - k]) <= math.comb(n, k) * t**k
+
+
+def row_sum_bound(rows):
+    n = len(rows)
+    rho = max(sum(abs(x) for x in row) for row in rows)
+    return max(math.comb(n, k) * rho**k for k in range(n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.integers(1, 12).flatmap(_rows),
+    planted_twins().map(lambda case: case[0]),
+))
+@example([[2**44495]])
+@example([[2**30000, 0], [0, 2**30000]])
+@example([[3, -2, 5], [0, 7, 1], [4, 4, -6]])
+def test_dense_engine_works_modulo_the_smallest_prime_above_twice_the_row_sum_bound(rows):
+    [(block, p)] = dense_calls(IntMatrix.from_rows(rows))[1]
+    assert p == min(q for q in _PRIMES if q > 2 * row_sum_bound(block))
 
 
 def test_char_poly_refuses_past_the_table_end():

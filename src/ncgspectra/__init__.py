@@ -66,6 +66,8 @@ from .verify import (
     VerificationReport,
     default_grid,
     integrality_record,
+    iter_integral,
+    iter_verify,
     predicted_integral,
     search_integral,
     verify_grid,

@@ -8,6 +8,7 @@ command maps to an exit code with one line on stderr and nothing on stdout:
 NotCompleteMultipartite prints "structural violation: ..." and exits 1; the
 rest of `verify.INSTANCE_FAILURES`, the rule a grid run uses for one
 instance, prints "error: ..." and exits 2.  Any other exception propagates.
+A failed run writes nothing: output is copied out only after the last record.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
+import tempfile
 from contextlib import nullcontext
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .closedform import (
     QuadraticEig,
@@ -39,15 +42,16 @@ from .verify import (
     INSTANCE_FAILURES,
     IntegralityRecord,
     VerificationReport,
-    search_integral,
-    verify_grid,
+    iter_integral,
+    iter_verify,
     verify_instance,
 )
 
 USAGE_ERROR = 2
 
 # A verify or search-integral scan of more instances (groups x matrix kinds) is
-# refused before any group is built; at this bound either peaks below 200 MB.
+# refused before any group is built.  Run serially, both stream their records,
+# so this bounds the run time: at the bound either peaks below 20 MB.
 MAX_INSTANCES = 200_000
 
 # One compact encoder for every JSON record; `json.dumps` with separators
@@ -145,24 +149,27 @@ def _spectrum_entries(spectrum: SpectrumSpec) -> list[dict]:
 def _write(
     args: argparse.Namespace,
     records: Iterable[dict],
-    text: Callable[[Iterable[dict]], list[str]],
+    text: Callable[[Iterable[dict]], Iterable[str]],
     csv_header: list[str],
     csv_rows: Callable[[dict], list[list]],
 ) -> None:
     """Write one command's records, read once, in --format to --out or stdout.
 
-    Text is rendered before --out is opened, as it can fail; JSON and CSV stream.
+    Records go one by one to an anonymous temporary file, copied out after
+    the last: a failed run writes nothing and leaves --out as it was.
     """
-    lines = text(records) if args.format == "text" else ()
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+    with tempfile.TemporaryFile("w+", newline="") as tmp:
         if args.format == "json":
-            out.writelines(_encode_json(r) + "\n" for r in records)
+            tmp.writelines(_encode_json(r) + "\n" for r in records)
         elif args.format == "csv":
-            writer = csv.writer(out, lineterminator="\n")
+            writer = csv.writer(tmp, lineterminator="\n")
             writer.writerow(csv_header)
             writer.writerows(row for r in records for row in csv_rows(r))
         else:
-            out.writelines(line + "\n" for line in lines)
+            tmp.writelines(line + "\n" for line in text(records))
+        tmp.seek(0)
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+            shutil.copyfileobj(tmp, out)
 
 
 def _check_instances(count: int) -> None:
@@ -176,24 +183,22 @@ def _csv_key(record: dict) -> list:
     return [record["family"], params.get("m", ""), params["n"], record["matrix"]]
 
 
-def _spectrum_text(records: Iterable[dict]) -> list[str]:
-    lines = []
+def _spectrum_text(records: Iterable[dict]) -> Iterator[str]:
     for record in records:
-        lines.append(" ".join(
+        yield " ".join(
             [f"family={record['family']}"]
             + [f"{k}={v}" for k, v in record["params"].items()]
             + [f"matrix={record['matrix']}", f"order={record['order']}"]
-        ))
+        )
         for e in record.get("spectrum", ()):
             if e["type"] == "integer":
-                lines.append(f"  {e['value']}  multiplicity {e['mult']}")
+                yield f"  {e['value']}  multiplicity {e['mult']}"
             else:
                 quad = QuadraticEig(int(e["sum"]), int(e["product"]))
-                lines.append(f"  roots of {quad}  multiplicity {e['mult']}")
-        lines.append(f"integral: {str(record['integral']).lower()}")
+                yield f"  roots of {quad}  multiplicity {e['mult']}"
+        yield f"integral: {str(record['integral']).lower()}"
         if "charpoly" in record:
-            lines.append("charpoly (ascending): " + " ".join(record["charpoly"]))
-    return lines
+            yield "charpoly (ascending): " + " ".join(record["charpoly"])
 
 
 def _spectrum_rows(record: dict) -> list[list]:
@@ -253,8 +258,7 @@ def _verify_record(report: VerificationReport) -> dict:
     return record
 
 
-def _verify_text(records: Iterable[dict]) -> list[str]:
-    lines = []
+def _verify_text(records: Iterable[dict]) -> Iterator[str]:
     ok = total = 0
     for total, rec in enumerate(records, 1):
         ok += rec["matched"]
@@ -262,18 +266,15 @@ def _verify_text(records: Iterable[dict]) -> list[str]:
         label = FAMILY_RECORDS[rec["family"]].label(params["n"], params.get("m"))
         tag = "ERROR" if rec.get("error") else "ok" if rec["matched"] else "MISMATCH"
         order = "?" if rec["order"] is None else rec["order"]
-        lines.append(f"[{tag}] {label} matrix={rec['matrix']} order={order}")
+        yield f"[{tag}] {label} matrix={rec['matrix']} order={order}"
         if rec.get("error"):
-            lines.append(f"    {rec['error']}")
+            yield f"    {rec['error']}"
         elif not rec["matched"]:
-            lines.append(f"    {rec['diff']}")
-            lines.append(f"    residual oracle factor: {rec['residual']}")
+            yield f"    {rec['diff']}"
+            yield f"    residual oracle factor: {rec['residual']}"
             for item in rec["unmatched_closed"]:
-                lines.append(
-                    f"    unmatched closed factor: ({item['factor']})^{item['mult']}"
-                )
-    lines.append(f"{ok}/{total} matched")
-    return lines
+                yield f"    unmatched closed factor: ({item['factor']})^{item['mult']}"
+    yield f"{ok}/{total} matched"
 
 
 def _verify_rows(record: dict) -> list[list]:
@@ -290,13 +291,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     m_count = args.m_range[1] - args.m_range[0] + 1 if takes_m else 1
     _check_instances(m_count * (hi - lo + 1) * len(kinds))
     ms = range(args.m_range[0], args.m_range[1] + 1) if takes_m else (None,)
-    specs = [GroupSpec(args.group, n, m) for m in ms for n in range(lo, hi + 1)]
-    reports = verify_grid(specs, kinds, order_cap=args.order_cap, jobs=args.jobs)
+    specs = (GroupSpec(args.group, n, m) for m in ms for n in range(lo, hi + 1))
+    all_matched = True
+
+    def records() -> Iterator[dict]:
+        nonlocal all_matched
+        for report in iter_verify(specs, kinds, order_cap=args.order_cap, jobs=args.jobs):
+            all_matched &= report.matched
+            yield _verify_record(report)
+
     _write(
-        args, map(_verify_record, reports), _verify_text,
+        args, records(), _verify_text,
         ["family", "m", "n", "matrix", "order", "matched", "detail"], _verify_rows,
     )
-    return 0 if all(r.matched for r in reports) else 1
+    return 0 if all_matched else 1
 
 
 def _search_record(rec: IntegralityRecord) -> dict:
@@ -310,8 +318,8 @@ def _search_record(rec: IntegralityRecord) -> dict:
     )
 
 
-def _search_text(records: Iterable[dict]) -> list[str]:
-    lines = []
+def _search_text(records: Iterable[dict]) -> Iterator[str]:
+    d = None
     for d in records:
         mark = "integral" if d["computed"] else "NOT integral"
         extra = "" if d["predicted"] == d["computed"] else (
@@ -320,10 +328,9 @@ def _search_text(records: Iterable[dict]) -> list[str]:
         )
         params = " ".join(f"{k}={v}" for k, v in d["params"].items())
         witness = f" witness={d['witness']}" if d["witness"] else ""
-        lines.append(
-            f"{d['family']} {params} matrix={d['matrix']}: {mark}{witness}{extra}"
-        )
-    return lines or ["no integral parameters found"]
+        yield f"{d['family']} {params} matrix={d['matrix']}: {mark}{witness}{extra}"
+    if d is None:
+        yield "no integral parameters found"
 
 
 def cmd_search_integral(args: argparse.Namespace) -> int:
@@ -333,7 +340,7 @@ def cmd_search_integral(args: argparse.Namespace) -> int:
     lowest = FAMILY_RECORDS[args.group].min_n
     _check_instances(args.max_n - lowest + 1)
     specs = (GroupSpec(args.group, n, args.m) for n in range(lowest, args.max_n + 1))
-    records = search_integral(specs, MatrixKind(args.matrix))
+    records = iter_integral(specs, MatrixKind(args.matrix))
     _write(
         args, map(_search_record, records), _search_text,
         ["family", "m", "n", "matrix", "witness"],

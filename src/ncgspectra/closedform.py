@@ -71,12 +71,14 @@ def make_spectrum(
     """
     ints: dict[int, int] = {}
     pairs: dict[QuadraticEig, int] = {}
+    count = 0
     for desc, mult in raw:
         if mult < 0:
             raise ValueError(f"negative multiplicity {mult} for {desc}")
         if mult == 0:
             continue
         if isinstance(desc, QuadraticEig):
+            count += 2 * mult
             roots = desc.integer_roots()
             if roots is None:
                 pairs[desc] = pairs.get(desc, 0) + mult
@@ -84,15 +86,14 @@ def make_spectrum(
                 for r in roots:
                     ints[r] = ints.get(r, 0) + mult
         else:
+            count += mult
             ints[desc] = ints.get(desc, 0) + mult
     entries: list[tuple[EigDesc, int]] = sorted(ints.items())
-    entries.extend(sorted(pairs.items(), key=lambda e: (e[0].s, e[0].p)))
-    spec = SpectrumSpec(order, kind, tuple(entries))
-    if spec.eigenvalue_count != order:
-        raise ValueError(
-            f"multiplicities sum to {spec.eigenvalue_count}, expected {order}"
-        )
-    return spec
+    if pairs:
+        entries.extend(sorted(pairs.items(), key=lambda e: (e[0].s, e[0].p)))
+    if count != order:
+        raise ValueError(f"multiplicities sum to {count}, expected {order}")
+    return SpectrumSpec(order, kind, tuple(entries))
 
 
 def entry_factor(desc: EigDesc) -> IntPolynomial:

@@ -407,9 +407,20 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     return poly
 
 
+# A square is a quadratic residue modulo every m: a non-residue modulo 64, 63,
+# 65 or 11 (45045 = 63 * 65 * 11) rules v out before isqrt (Cohen, Alg. 1.7.3).
+_Q64, _Q63, _Q65, _Q11 = (
+    tuple(map({j * j % m for j in range(m)}.__contains__, range(m)))
+    for m in (64, 63, 65, 11)
+)
+
+
 def is_perfect_square(v: int) -> int | None:
     """The nonnegative integer square root of v, or None if v is not a square."""
-    if v < 0:
+    if v < 0 or not _Q64[v & 63]:
+        return None
+    w = v % 45045
+    if not (_Q63[w % 63] and _Q65[w % 65] and _Q11[w % 11]):
         return None
     r = math.isqrt(v)
     return r if r * r == v else None

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .closedform import _expand, entry_factor, make_spectrum, spectrum_for
 from .exactalg import (
@@ -200,13 +201,13 @@ def _verify_job(args: tuple[GroupSpec, tuple, int]) -> list[VerificationReport]:
     return reports
 
 
-def verify_grid(
-    specs: list[GroupSpec],
+def iter_verify(
+    specs: Iterable[GroupSpec],
     kinds: tuple[MatrixKind, ...] = ALL_KINDS,
     order_cap: int = DEFAULT_ORDER_CAP,
     jobs: int = 1,
-) -> list[VerificationReport]:
-    """Run verify_instance over the whole grid, never aborting on one failure.
+) -> Iterator[VerificationReport]:
+    """Yield verify_instance's reports over the grid, never aborting on one failure.
 
     Each group's oracle is built once for all of `kinds`.  An instance raising
     one of INSTANCE_FAILURES (every kind, if the oracle raised) becomes an
@@ -215,17 +216,30 @@ def verify_grid(
     (spec, kind) order.  Groups run in a pool of min(jobs, groups, CPUs)
     processes if that is > 1, with about four chunks per worker.
     """
-    work = [(spec, kinds, order_cap) for spec in specs]
+    work = ((spec, kinds, order_cap) for spec in specs)
+    if jobs > 1:
+        work = list(work)
     workers = jobs if jobs <= 1 else min(jobs, len(work), os.cpu_count() or 1)
     if workers <= 1:
-        return [r for job in work for r in _verify_job(job)]
+        yield from chain.from_iterable(map(_verify_job, work))
+        return
     # imported here, not at the top: the pool machinery (multiprocessing)
     # is about a third of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
     size = math.ceil(len(work) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for batch in pool.map(_verify_job, work, chunksize=size) for r in batch]
+        yield from chain.from_iterable(pool.map(_verify_job, work, chunksize=size))
+
+
+def verify_grid(
+    specs: Iterable[GroupSpec],
+    kinds: tuple[MatrixKind, ...] = ALL_KINDS,
+    order_cap: int = DEFAULT_ORDER_CAP,
+    jobs: int = 1,
+) -> list[VerificationReport]:
+    """iter_verify's reports as a list."""
+    return list(iter_verify(specs, kinds, order_cap, jobs))
 
 
 def default_grid() -> list[GroupSpec]:
@@ -274,17 +288,22 @@ def integrality_record(spec: GroupSpec, kind: MatrixKind) -> IntegralityRecord:
     return IntegralityRecord(spec, kind, predicted, computed, witness, note)
 
 
-def search_integral(
+def iter_integral(
     specs: Iterable[GroupSpec], kind: MatrixKind
-) -> list[IntegralityRecord]:
-    """Records with predicted_integral true, plus every disagreement record.
+) -> Iterator[IntegralityRecord]:
+    """Yield records with predicted_integral true, plus every disagreement record.
 
     A disagreement (predicted != computed) is a finding about the stated
     condition and is always included, never silently dropped.
     """
-    out = []
     for spec in specs:
         rec = integrality_record(spec, kind)
         if rec.predicted_integral or not rec.agree:
-            out.append(rec)
-    return out
+            yield rec
+
+
+def search_integral(
+    specs: Iterable[GroupSpec], kind: MatrixKind
+) -> list[IntegralityRecord]:
+    """iter_integral's records as a list."""
+    return list(iter_integral(specs, kind))

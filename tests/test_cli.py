@@ -499,6 +499,53 @@ def test_text_rendering_failure_writes_nothing(capsys, tmp_path, low_digit_limit
     assert json.loads(out)["error"].startswith("ValueError: Exceeds the limit")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv, expected", [
+    (("--group", "q4n", "--n-range", "2..4"), 0),
+    # M_12 (m = 6) D^Q is refuted; M_14 (m = 7) D^Q matches after it
+    (("--group", "metacyclic", "--m-range", "6..7", "--n-range", "1..1", "--matrix", "dq"), 1),
+], ids=["all-match", "mismatch-then-match"])
+def test_verify_exit_code_in_every_format(capsys, fmt, argv, expected):
+    code, out, err = run(capsys, "verify", *argv, "--format", fmt)
+    assert (code, err) == (expected, "")
+    assert out.count("\n") >= 2
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_failed_search_writes_nothing(capsys, tmp_path, low_digit_limit, fmt, to_file):
+    # QD_16 is found first; a later square core passes the int-to-str limit
+    target = tmp_path / "search.out"
+    target.write_bytes(b"kept\n")
+    argv = ["search-integral", "--group", "qd", "--matrix", "d", "--max-n", "1100",
+            "--format", fmt]
+    code, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit (640 digits)")
+    assert target.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_failed_json_verify_writes_nothing(capsys, tmp_path, monkeypatch, to_file):
+    encode = cli._encode_json
+    encoded = []
+
+    def fail_on_the_second(record):
+        if encoded:
+            raise ValueError("cannot render")
+        encoded.append(record)
+        return encode(record)
+
+    monkeypatch.setattr(cli, "_encode_json", fail_on_the_second)
+    target = tmp_path / "verify.json"
+    target.write_bytes(b"kept\n")
+    argv = ["verify", "--group", "q4n", "--n-range", "2..4", "--format", "json"]
+    code, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+    assert (code, out, err) == (2, "", "error: cannot render\n")
+    assert len(encoded) == 1
+    assert target.read_bytes() == b"kept\n"
+
+
 def _verify_records():
     specs = [GroupSpec.q4n(2), GroupSpec.qd(4), GroupSpec.q4n(6)]
     reports = verify_grid(specs, ALL_KINDS, order_cap=20)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -303,6 +304,37 @@ def test_poly_mul_evaluation_homomorphism(a, b, x):
 @given(st.integers(0, 10**30))
 def test_perfect_square_roundtrip(k):
     assert is_perfect_square(k * k) == k
+
+
+def _isqrt_square(v):
+    """The residue-free reference: isqrt alone decides."""
+    if v < 0:
+        return None
+    r = math.isqrt(v)
+    return r if r * r == v else None
+
+
+_BIG = st.integers(0, 2**5000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(max_value=-1),
+    st.just(0),
+    _BIG.map(lambda k: k * k),
+    _BIG.map(lambda k: k * k + 1),
+    _BIG.filter(bool).map(lambda k: k * k - 1),
+    st.integers(0, 2**10000),
+))
+def test_residue_pre_test_agrees_with_isqrt(v):
+    # a square is a residue modulo every m, so the pre-test never rejects one
+    assert is_perfect_square(v) == _isqrt_square(v)
+
+
+def test_residue_pre_test_keeps_every_small_square():
+    assert [v for v in range(10**5) if is_perfect_square(v) is not None] == [
+        k * k for k in range(317)
+    ]
 
 
 def test_perfect_square_examples():

@@ -9,6 +9,8 @@ from ncgspectra import (
     QuadraticEig,
     default_grid,
     integrality_record,
+    iter_integral,
+    iter_verify,
     make_spectrum,
     predicted_integral,
     search_integral,
@@ -371,3 +373,42 @@ class TestSearchIntegral:
         recs = search_integral([GroupSpec.qd(n) for n in range(4, 16)], D)
         assert [r.group.n for r in recs] == [4]
         assert recs[0].agree
+
+
+class TestStreams:
+    """The list APIs are the generators' records, and the generators stream."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_list_is_the_stream(self, jobs):
+        specs = default_grid()
+        assert verify_grid(specs, ALL_KINDS, jobs=jobs) == list(
+            iter_verify(specs, ALL_KINDS, jobs=jobs)
+        )
+        for kind in ALL_KINDS:
+            assert search_integral(specs, kind) == list(iter_integral(specs, kind))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_q4n_list_is_the_stream(self, kind):
+        specs = [GroupSpec.q4n(n) for n in range(2, 201)]
+        reports = verify_grid(specs, (kind,))
+        assert reports == list(iter_verify(iter(specs), (kind,)))
+        assert len(reports) == 199
+        # the old list loop: keep what is predicted integral or disagrees
+        records = [integrality_record(spec, kind) for spec in specs]
+        expected = [r for r in records if r.predicted_integral or not r.agree]
+        assert search_integral(specs, kind) == expected
+        assert list(iter_integral(iter(specs), kind)) == expected
+
+    @pytest.mark.parametrize("stream", [
+        lambda specs: iter_verify(specs, (DL,)),
+        lambda specs: iter_integral(specs, DL),
+    ], ids=["iter_verify", "iter_integral"])
+    def test_first_record_before_a_later_spec_is_read(self, stream):
+        def specs():
+            yield GroupSpec.q4n(2)
+            raise RuntimeError("second spec read")
+
+        records = stream(specs())
+        assert next(records).group == GroupSpec.q4n(2)
+        with pytest.raises(RuntimeError, match="second spec read"):
+            next(records)

@@ -3,14 +3,14 @@
 Everything here is exact: Python integers throughout, no floating point
 anywhere.  There is one characteristic-polynomial engine, `char_poly`: the
 checked eigenvalues of twin indices split off, then a dense engine on what
-is left.  Indices i and i+1 are twins when their columns agree outside rows
-i and i+1 and the 2 x 2 block on them is symmetric with equal diagonal.  In
-each maximal run of twins, every difference e_v - e_s from the run's first
-index s is checked to be an eigenvector, column by column; if all are, they
-split off and the same step repeats on the leader block of the runs' first
-indices.  For the part-major D, D^L and D^Q of a complete multipartite graph
-the runs are its parts, with all parts of one vertex as a single run; for
-the four families here the recursion ends in a block of order at most 2.
+is left.  One pass scans the indices in order: index v joins the current
+run, whose first index is s, when column v minus column s is checked to be
+lambda (e_v - e_s), and starts a new run otherwise.  Each such lambda splits
+off, and the same pass repeats on the leader block of the runs' first
+indices until it finds no twin.  For the part-major D, D^L and D^Q of a
+complete multipartite graph the first runs are its parts, with all parts of
+one vertex as a single run; for the four families here the recursion ends
+in a block of order 2 for D and D^Q and of order 1 for D^L.
 That block is reduced to upper Hessenberg form, and the Hessenberg
 recurrence is run, modulo a prime above twice an a-priori bound on the
 block's coefficients, so that the symmetric residues are the exact integers.
@@ -280,29 +280,6 @@ def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return h
 
 
-def _twin_runs(matrix: IntMatrix) -> list[range]:
-    """The maximal runs of consecutive twin indices, covering 0..n-1 in order.
-
-    Indices i and i+1 are twins when columns i and i+1 agree outside rows i
-    and i+1, M[i][i] = M[i+1][i+1] and M[i][i+1] = M[i+1][i]; then
-    e_(i+1) - e_i is an eigenvector of M.
-    """
-    rows, cols = matrix.rows, matrix.columns
-    runs, start = [], 0
-    for i in range(matrix.n - 1):
-        a, b = cols[i], cols[i + 1]
-        if not (
-            a[:i] == b[:i]
-            and a[i + 2:] == b[i + 2:]
-            and rows[i][i] == rows[i + 1][i + 1]
-            and rows[i][i + 1] == rows[i + 1][i]
-        ):
-            runs.append(range(start, i + 1))
-            start = i + 1
-    runs.append(range(start, matrix.n))
-    return runs
-
-
 def twin_eigenvalue(cols: Sequence[Sequence[int]], s: int, v: int) -> int | None:
     """lambda with column v - column s = lambda (e_v - e_s) for s < v, else None.
 
@@ -324,16 +301,17 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     of degree n minus the number of roots.  So a stated spectrum can be
     compared with these factors without expanding them (`verify._compare`).
 
-    For each run of `_twin_runs` with leader s and each other index v of it,
-    `twin_eigenvalue` checks that column v minus column s is
-    lambda_v (e_v - e_s).  If every check holds, M is block upper triangular
-    in the basis of those differences and the leaders, so det(xI - M) =
-    prod_v (x - lambda_v) * det(xI - B) for the leader block B, where B[i][j]
-    is the sum over run i of column s_j: for symmetric M, the transpose of
-    the equitable-partition quotient (Godsil & Royle, Algebraic Graph
-    Theory, 9.3).  The step repeats on B until no run is longer than one
-    index or a check fails, which needs a non-symmetric block.  Each split
-    is checked, so the result is exact for any input.
+    One pass scans the indices in order.  Index v joins the current run,
+    whose leader s is its first index, when `twin_eigenvalue` finds column v
+    minus column s to be lambda_v (e_v - e_s); otherwise v leads a new run.
+    Every recorded difference is a checked eigenvector, so M is block upper
+    triangular in the basis of those differences and the leaders, and
+    det(xI - M) = prod_v (x - lambda_v) * det(xI - B) for the leader block
+    B, where B[i][j] is the sum over run i of column s_j: for symmetric M,
+    the transpose of the equitable-partition quotient (Godsil & Royle,
+    Algebraic Graph Theory, 9.3).  The pass repeats on B until it records
+    no eigenvalue.  Each split is checked, so the result is exact for any
+    input.
 
     The last block, M of order n from here on, goes to the dense engine.
     The coefficient of x^(n-k) is (-1)^k e_k of the eigenvalues.  Every
@@ -349,14 +327,21 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     tabulated prime, 2^44497 - 1.
     """
     roots: Counter[int] = Counter()
-    while len(runs := _twin_runs(matrix)) < matrix.n:
+    while True:
         cols = matrix.columns
-        lams = [twin_eigenvalue(cols, run.start, v) for run in runs for v in run[1:]]
-        if None in lams:
+        leaders, lams = [0], []
+        for v in range(1, matrix.n):
+            lam = twin_eigenvalue(cols, leaders[-1], v)
+            if lam is None:
+                leaders.append(v)
+            else:
+                lams.append(lam)
+        if not lams:
             break
         roots.update(lams)
+        bounds = [*leaders, matrix.n]
         matrix = IntMatrix(tuple(
-            tuple(sum(cols[c.start][r.start:r.stop]) for c in runs) for r in runs
+            tuple(sum(cols[s][a:b]) for s in leaders) for a, b in zip(bounds, bounds[1:])
         ))
     n = matrix.n
     if n == 0:

@@ -23,7 +23,9 @@ the distance polynomial of K_{n_1,...,n_k} took a product over every part,
 where it now takes one over the distinct part sizes.  `char_poly` passed
 the whole integer similarity T^-1 M T of its twin runs to the Hessenberg
 reduction, where it now splits off each checked twin eigenvalue and
-recurses on the leader block.  `non_commuting_graph` re-indexed every
+recurses on the leader block; it found those runs by a pre-test on adjacent
+pairs of indices, where an index now joins its run by the eigenvector check
+against the run's leader alone.  `non_commuting_graph` re-indexed every
 vertex's commutation mask, where it now re-indexes each distinct mask once;
 `distance_matrix` ran a BFS from every vertex, where it now runs one per
 distinct neighbourhood and transposes two entries of the twin's row.
@@ -92,7 +94,7 @@ from ncgspectra.closedform import (
     _on_blocks,
     entry_factor,
 )
-from ncgspectra.exactalg import _twin_runs, char_poly_factors
+from ncgspectra.exactalg import char_poly_factors
 from ncgspectra.families import METACYCLIC_FAMILY, Q4N_FAMILY, scaled_root_pair
 from ncgspectra.graphs import Oracle, select_bits
 from ncgspectra.groups import Rule, _progression, bit_indices
@@ -111,7 +113,7 @@ from test_commutation import (
 )
 from test_groups import spec_id
 from test_kernels import mat_vec
-from test_twin_similarity import planted_twins
+from test_twin_similarity import first_runs, planted_twins
 
 D, DL, DQ = ALL_KINDS
 
@@ -786,6 +788,48 @@ def test_run_length_distance_charpoly_equals_the_per_part_copy_on_claimed_shapes
     )
 
 
+def _twin_runs(matrix):
+    """The maximal runs of consecutive twin indices, covering 0..n-1 in order.
+
+    Indices i and i+1 are twins when columns i and i+1 agree outside rows i
+    and i+1, M[i][i] = M[i+1][i+1] and M[i][i+1] = M[i+1][i]; then
+    e_(i+1) - e_i is an eigenvector of M.
+    """
+    rows, cols = matrix.rows, matrix.columns
+    runs, start = [], 0
+    for i in range(matrix.n - 1):
+        a, b = cols[i], cols[i + 1]
+        if not (
+            a[:i] == b[:i]
+            and a[i + 2:] == b[i + 2:]
+            and rows[i][i] == rows[i + 1][i + 1]
+            and rows[i][i + 1] == rows[i + 1][i]
+        ):
+            runs.append(range(start, i + 1))
+            start = i + 1
+    runs.append(range(start, matrix.n))
+    return runs
+
+
+@pytest.mark.parametrize("spec", default_grid(), ids=spec_id)
+def test_first_pass_runs_equal_the_adjacent_pair_copy(spec):
+    distance = oracle(spec).distance
+    for kind in ALL_KINDS:
+        matrix = matrix_of_kind(distance, kind)
+        assert first_runs(matrix) == _twin_runs(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_twins(symmetric=True))
+@example(([[1, 2], [2, 1]], [range(2)], None))
+@example(([[0, 1, 2], [1, 0, 2], [2, 2, 5]], [range(2), range(2, 3)], None))
+def test_first_pass_runs_equal_the_adjacent_pair_copy_on_symmetric_planted_twins(case):
+    # twins of a symmetric matrix are an equivalence, so checking each index
+    # against its run's leader finds the runs of adjacent twin pairs
+    matrix = IntMatrix.from_rows(case[0])
+    assert first_runs(matrix) == _twin_runs(matrix)
+
+
 def reference_twin_similar(matrix):
     """The rows of T^-1 M T, an integer matrix similar to M, for the twin runs of M.
 
@@ -1110,14 +1154,14 @@ def test_factored_comparison_equals_the_expanded_copy_on_restated_forms(case):
 
 
 def test_factored_comparison_keeps_a_cubic_block_unsplit():
-    # K_{1,2,3}: its three part sizes differ, so the leader block stays 3 x 3;
-    # x^3 - 6x^2 - 3x + 2 (D) has no rational root, x^3 - 12x^2 + 36x (D^L)
-    # is x (x - 6)^2
+    # K_{1,2,3}: its three part sizes differ, so the D and D^Q leader blocks
+    # stay 3 x 3; x^3 - 6x^2 - 3x + 2 (D) has no rational root.  The D^L
+    # leader block's three leaders are twins, so it splits to order 1.
     graph, partition = part_major(complete_multipartite((1, 2, 3)))
     staged = Oracle(graph, partition, distance_matrix(graph))
     blocks = [char_poly_factors(matrix_of_kind(staged.distance, kind))[1]
               for kind in ALL_KINDS]
-    assert [b.degree for b in blocks] == [3, 3, 3]
+    assert [b.degree for b in blocks] == [3, 1, 3]
     spec = GroupSpec.q4n(2)  # Q_8: graph order 6, stated forms of K_{2,2,2}
     for kind in ALL_KINDS:
         report = _compare(spec, kind, staged)
@@ -1133,15 +1177,33 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
             report = _compare(spec, kind, staged)
             assert report == reference_compare(spec, kind, staged)
             assert report.matched == (kind == DL)
+
+
+def test_factored_comparison_divides_stated_entries_out_of_a_quartic_block():
+    # The path P_4 is no complete multipartite graph and has no twins, so its
+    # D^L stays one quartic block, x^4 - 20x^3 + 128x^2 - 264x
+    # = x (x - 6) (x^2 - 14x + 44), whose quadratic factor has the
+    # non-square discriminant 20.
+    graph = NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100))
+    staged = Oracle(graph, None, distance_matrix(graph))
+    roots, block = char_poly_factors(matrix_of_kind(staged.distance, DL))
+    assert not roots and block == IntPolynomial((0, -264, 128, -20, 1))
+    spec = GroupSpec.q4n(2)
+    pair = QuadraticEig(14, 44)
     with pytest.MonkeyPatch.context() as mp:
-        _restate(mp, spec, DL, [(0, 1), (6, 1), (7, 1), (8, 1), (9, 2)])
+        _restate(mp, spec, DL, [(0, 1), (6, 1), (pair, 1)])  # the whole D^L spectrum
+        report = _compare(spec, DL, staged)
+        assert report == reference_compare(spec, DL, staged)
+        assert (report.matched, report.residual) == (True, None)
+    with pytest.MonkeyPatch.context() as mp:
+        _restate(mp, spec, DL, [(0, 1), (7, 1), (pair, 1)])
         report = _compare(spec, DL, staged)
         assert report == reference_compare(spec, DL, staged)
         assert report.residual == IntPolynomial((-6, 1))
         assert report.unmatched_closed == ((7, 1),)
     with pytest.MonkeyPatch.context() as mp:
         # every stated entry divides, but x - 6 is left of the block
-        _restate(mp, spec, DL, [(0, 1), (6, 1), (8, 1), (9, 2)])
+        _restate(mp, spec, DL, [(0, 1), (pair, 1)])
         report = _compare(spec, DL, staged)
         assert report == reference_compare(spec, DL, staged)
         assert (report.matched, report.unmatched_closed) == (False, ())

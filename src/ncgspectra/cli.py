@@ -9,6 +9,8 @@ NotCompleteMultipartite prints "structural violation: ..." and exits 1; the
 rest of `verify.INSTANCE_FAILURES`, the rule a grid run uses for one
 instance, prints "error: ..." and exits 2.  Any other exception propagates.
 A failed run writes nothing: output is copied out only after the last record.
+An --out that cannot be opened for writing is refused before the first
+record: "error: ..." and exit 2, with --out left as it was.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -170,6 +173,16 @@ def _write(
         tmp.seek(0)
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
             shutil.copyfileobj(tmp, out)
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that `open(path, "w")` would fail on."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        raise InvalidParameters(f"cannot write --out {path}")
 
 
 def _check_instances(count: int) -> None:
@@ -356,6 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        _check_out(args.out)
         if args.command == "spectrum":
             return cmd_spectrum(args)
         if args.command == "verify":

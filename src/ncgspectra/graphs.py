@@ -5,20 +5,16 @@ re-indexed once onto the non-central elements.  It is complete multipartite iff
 "equal or non-adjacent" is an equivalence relation, which certification checks
 on the masks; the part-major graph is then built from the certified part sizes.
 
-The distance matrix is always computed by breadth-first search, even though
-the graphs at hand provably have diameter 2; this keeps the oracle honest and
-family-agnostic.  The search runs once per distinct neighbourhood, from its
-first vertex s; a later vertex v with N(v) = N(s) is a twin, found by mask
-equality, and its row is row s with entries s and v transposed, since
-d(v, x) = d(s, x) for every other x.  Each source's BFS levels are collected as
-bit-planes (plane k holds the vertices whose distance has bit k set), and the
-row is unpacked from the planes at C level, so no distance is written one
-vertex at a time.
+The non-commuting graph of a non-abelian group is connected with diameter 2
+(Abdollahi, Akbari & Maimani, *Non-commuting graph of a group*, J. Algebra 298
+(2006), Prop. 2.1), so every distance is 1 on a vertex's mask and 2 off it.
+The distance matrix is read off the masks, once per distinct neighbourhood,
+and the read is checked: a vertex with no path of length at most 2 to some
+other vertex raises DisconnectedGraph rather than getting a wrong entry.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import itemgetter, neg
@@ -38,7 +34,7 @@ class NotCompleteMultipartite(ValueError):
 
 
 class DisconnectedGraph(ValueError):
-    """Some vertex pair has no connecting path."""
+    """Some vertex pair has no path of length <= 2."""
 
 
 class OrderCapExceeded(ValueError):
@@ -166,76 +162,43 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     return reordered, replace(partition, classes=blocks)
 
 
-# '0'/'1' characters to the byte values 0/1: one binary digit per byte field.
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# '0'/'1' characters to the distances 2/1: one byte per vertex.
+_DISTANCE_BYTES = bytes.maketrans(b"01", b"\x02\x01")
 
 
 def distance_matrix(graph: NCGraph) -> IntMatrix:
-    """All-pairs shortest path lengths by BFS, once per distinct neighbourhood.
+    """All-pairs distances of a graph of diameter at most 2, off the masks.
 
-    A vertex v whose neighbour mask equals that of an earlier vertex s takes
-    row s with entries s and v transposed: every shortest path from v or s
-    to another vertex x starts with a step into N(v) = N(s), so
-    d(v, x) = d(s, x).  Adjacent vertices with equal closed neighbourhoods
-    have unequal masks and get a BFS each.  Vertex 0 always gets its own
-    search, so a disconnected graph raises DisconnectedGraph from it.  The
-    search is level-synchronous over neighbour bitmasks: the next level
-    is the union of the frontier's neighbours minus the vertices already seen.
-    Each level's mask is ORed into bit-planes, plane k holding the vertices
-    whose distance has bit k set.  A plane's binary string becomes one byte
-    per vertex (`bytes.translate`), widened into the low byte of a wider field
-    when one byte cannot hold n - 1; the planes, shifted by k, are ORed into
-    one integer of n fields, vertex i in field i, which one `struct` unpack
-    turns into the row.
+    Per distinct neighbour mask, once: its 2-step reach (the mask ORed with
+    its neighbours' masks, stopping once every vertex is covered) and a
+    template row, 1 on the mask's bits and 2 elsewhere, from the mask's
+    binary string by one `bytes.translate`.  Each vertex's row is its mask's
+    template with its own entry set to 0.  A vertex that, with its reach,
+    misses some vertex raises DisconnectedGraph naming the lowest one missed.
     """
     n = graph.order
     everything = (1 << n) - 1
     neighbors = graph.neighbors
-    # the narrowest unsigned field that holds every level up to n - 1
-    code = next(c for c in "BHIQ" if n <= 1 << 8 * struct.calcsize("<" + c))
-    width = struct.calcsize("<" + code)
-    unpack = struct.Struct(f"<{n}{code}").unpack
     fmt = f"0{n}b"
-    fields_of = bytearray(n * width)
-    first: dict[int, int] = {}
+    by_mask: dict[int, tuple[int, bytes]] = {}
     rows: list[tuple[int, ...]] = []
-    for src in range(n):
-        twin = first.setdefault(neighbors[src], src)
-        if twin != src:
-            row = list(rows[twin])
-            row[twin], row[src] = row[src], row[twin]
-            rows.append(tuple(row))
-            continue
-        planes: list[int] = []
-        seen = frontier = 1 << src
-        level = 0
-        while frontier and seen != everything:
-            level += 1
-            unseen = everything & ~seen
-            reach = 0
-            for u in bit_indices(frontier):
-                reach |= neighbors[u] & unseen
-                if reach == unseen:
+    for src, mask in enumerate(neighbors):
+        if mask not in by_mask:
+            reach = mask
+            for u in bit_indices(mask):
+                reach |= neighbors[u]
+                if reach == everything:
                     break
-            frontier = reach
-            seen |= reach
-            if level.bit_length() > len(planes):
-                planes.append(0)
-            for k in bit_indices(level):
-                planes[k] |= reach
-        if seen != everything:
-            missing = everything & ~seen
+            # the string lists vertex n - 1 first; reversed, vertex i is byte i
+            by_mask[mask] = reach, format(mask, fmt)[::-1].encode().translate(_DISTANCE_BYTES)
+        reach, template = by_mask[mask]
+        missing = everything & ~(reach | 1 << src)
+        if missing:
             far = (missing & -missing).bit_length() - 1
-            raise DisconnectedGraph(f"vertex {far} unreachable from vertex {src}")
-        row = 0
-        for k, plane in enumerate(planes):
-            # vertex n - 1's digit first, so vertex i lands in field i
-            digits = format(plane, fmt).encode().translate(_DIGIT_BYTES)
-            if width > 1:
-                fields_of[width - 1::width] = digits
-                digits = fields_of
-            row |= int.from_bytes(digits, "big") << k
-        rows.append(unpack(row.to_bytes(n * width, "little")))
+            raise DisconnectedGraph(f"vertex {far} is not within distance 2 of vertex {src}")
+        row = bytearray(template)
+        row[src] = 0
+        rows.append(tuple(row))
     return IntMatrix(tuple(rows))
 
 

@@ -292,6 +292,33 @@ def test_out_writes_file(tmp_path, capsys):
     assert record["order"] == 10
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "under-a-file"])
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--group", "q4n", "--n", "3", "--matrix", "d"),
+    ("verify", "--group", "q4n", "--n-range", "2..3"),
+    ("search-integral", "--group", "q4n", "--matrix", "d", "--max-n", "10"),
+], ids=["spectrum", "verify", "search-integral"])
+def test_unwritable_out_refused_before_the_first_record(
+    capsys, monkeypatch, tmp_path, argv, where
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("record computed for a refused --out")
+
+    for name in ("spectrum_for", "iter_verify", "iter_integral"):
+        monkeypatch.setattr(cli, name, unreachable)
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"kept\n")
+    target = {
+        "missing-directory": tmp_path / "missing" / "x.out",
+        "directory": tmp_path,
+        "under-a-file": blocker / "x.out",
+    }[where]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out, err) == (2, "", f"error: cannot write --out {target}\n")
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_bytes() == b"kept\n"
+
+
 def test_unknown_group_exit_two(capsys):
     code, _, _ = run(capsys, "spectrum", "--group", "dihedral", "--n", "3",
                      "--matrix", "d")

@@ -3,7 +3,7 @@
 The references below multiply pair by pair: the commutation masks by both
 products of every unordered pair, the centre by a full scan, the CA check by
 testing every pair of every centralizer, the graph by comparing both products
-of every ordered pair, and the distances by a deque BFS.  The partition is
+of every ordered pair, and the distances by a deque BFS of any depth.  The partition is
 certified by a BFS over the complement plus a check of every pair inside and
 across its components.  The references read the graph's neighbour masks one
 bit at a time.
@@ -521,25 +521,49 @@ def random_graphs(draw):
     return NCGraph(tuple(range(n)), tuple(rows))
 
 
-def _outcome(bfs, graph):
+def assert_depth_2_read(graph, reference):
+    """`distance_matrix` equals the reference BFS wherever its largest entry
+    is at most 2, and raises DisconnectedGraph exactly where the reference
+    raises or exceeds 2."""
     try:
-        return bfs(graph)
-    except DisconnectedGraph as exc:
-        return str(exc)
+        expected = reference(graph)
+    except DisconnectedGraph:
+        expected = None
+    if expected is not None and max(map(max, expected.rows)) <= 2:
+        assert distance_matrix(graph) == expected
+    else:
+        with pytest.raises(DisconnectedGraph):
+            distance_matrix(graph)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    rows = [0] * 10
+    for u, v in outer + inner + [(i, i + 5) for i in range(5)]:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return NCGraph(tuple(range(10)), tuple(rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_graphs())
 @example(NCGraph((0, 1, 2), (0b010, 0b001, 0b000)))
+# diameter 2 but not complete multipartite: C_5 and the Petersen graph
+@example(NCGraph(tuple(range(5)), (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)))
+@example(petersen())
+# K_1, whose matrix is ((0,),), and an isolated vertex beside an edge
+@example(NCGraph((0,), (0,)))
+@example(NCGraph((0, 1, 2), (0b000, 0b100, 0b010)))
 def test_bitset_bfs_equals_deque_bfs(graph):
-    assert _outcome(distance_matrix, graph) == _outcome(
-        reference_distance_matrix, graph
-    )
+    assert_depth_2_read(graph, reference_distance_matrix)
 
 
 def test_disconnected_message_names_lowest_unreachable_vertex():
     rows = (0b01010, 0b00001, 0b10000, 0b00001, 0b00100)
-    with pytest.raises(DisconnectedGraph, match="^vertex 2 unreachable from vertex 0$"):
+    with pytest.raises(
+        DisconnectedGraph, match="^vertex 2 is not within distance 2 of vertex 0$"
+    ):
         distance_matrix(NCGraph(tuple(range(5)), rows))
 
 

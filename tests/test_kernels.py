@@ -1,11 +1,13 @@
 """The C-level distance, Laplacian and mat-vec kernels against the per-entry loops they replaced.
 
 `distance_matrix` wrote each BFS level into its row one vertex at a time,
+where it now reads distances 1 and 2 off the neighbour masks;
 `matrix_of_kind` built D^L and D^Q entry by entry, and the grouped `mat_vec`
 summed one generator per row over v's support.  Those loops are kept here as
 references.  `mat_vec` itself has no caller left in the package; it lives
-here as the exact M v that the eigenvector tests check against.  The property and fixed cases are chosen so that each kernel's
-likely slips show: a level past 255 (a field one byte wide), a
+here as the exact M v that the eigenvector tests check against.  The
+property and fixed cases are chosen so that each kernel's likely slips show:
+a graph of diameter past 2 (refused, not given entries of 3 or more), a
 non-symmetric matrix (columns read as rows), repeated vector entries (a value
 group cut to one column) and a nonzero diagonal (a dropped self term).
 """
@@ -155,9 +157,13 @@ def cycle(n):
 )
 def test_distances_on_orders_past_one_byte(rows, diameter):
     graph = NCGraph(tuple(range(len(rows))), tuple(rows))
-    dist = distance_matrix(graph)
-    assert dist == per_vertex_distance_matrix(graph) == reference_distance_matrix(graph)
+    dist = per_vertex_distance_matrix(graph)
+    assert dist == reference_distance_matrix(graph)
     assert max(map(max, dist.rows)) == diameter
+    with pytest.raises(
+        DisconnectedGraph, match="^vertex 3 is not within distance 2 of vertex 0$"
+    ):
+        distance_matrix(graph)
 
 
 @st.composite

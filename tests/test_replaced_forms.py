@@ -27,8 +27,9 @@ recurses on the leader block; it found those runs by a pre-test on adjacent
 pairs of indices, where an index now joins its run by the eigenvector check
 against the run's leader alone.  `non_commuting_graph` re-indexed every
 vertex's commutation mask, where it now re-indexes each distinct mask once;
-`distance_matrix` ran a BFS from every vertex, where it now runs one per
-distinct neighbourhood and transposes two entries of the twin's row.
+`distance_matrix` ran a BFS from every vertex, where it now reads distances
+1 and 2 off each distinct neighbour mask and refuses a graph of larger
+diameter.
 `verify` expanded the oracle's char poly and the closed form, compared them
 coefficient by coefficient, and on a mismatch divided each closed factor out
 of the oracle polynomial once per unit of multiplicity, where it now compares
@@ -106,7 +107,9 @@ from test_commutation import (
     LARGE_SPECS,
     RegularGroup,
     _certificate,
+    assert_depth_2_read,
     reference_commuting_masks,
+    reference_distance_matrix,
     relabelled_multipartite,
     split_metacyclic_groups,
     symmetric_group_4,
@@ -965,13 +968,6 @@ def reference_every_vertex_distance_matrix(graph):
     return IntMatrix(tuple(rows))
 
 
-def _distance_outcome(distances, graph):
-    try:
-        return distances(graph)
-    except DisconnectedGraph as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("spec", default_grid() + LARGE_SPECS, ids=spec_id)
 def test_twin_row_distances_equal_the_every_vertex_copy(spec):
     # the raw graph lists a part's twins apart, the part-major one together
@@ -1019,9 +1015,7 @@ def graphs_with_planted_twins(draw):
 @example(NCGraph((0, 1, 2), (0b110, 0b101, 0b011)))
 @example(NCGraph((0, 1, 2, 3), (0b1010, 0b0101, 0b1010, 0b0101)))
 def test_twin_row_distances_equal_the_every_vertex_copy_on_planted_twins(graph):
-    assert _distance_outcome(distance_matrix, graph) == _distance_outcome(
-        reference_every_vertex_distance_matrix, graph
-    )
+    assert_depth_2_read(graph, reference_every_vertex_distance_matrix)
 
 
 def reference_factor_out(oracle_poly, spectrum):
@@ -1184,8 +1178,10 @@ def test_factored_comparison_divides_stated_entries_out_of_a_quartic_block():
     # D^L stays one quartic block, x^4 - 20x^3 + 128x^2 - 264x
     # = x (x - 6) (x^2 - 14x + 44), whose quadratic factor has the
     # non-square discriminant 20.
+    # P_4 has diameter 3, past what `distance_matrix` reads, so D comes from
+    # the reference BFS.
     graph = NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100))
-    staged = Oracle(graph, None, distance_matrix(graph))
+    staged = Oracle(graph, None, reference_distance_matrix(graph))
     roots, block = char_poly_factors(matrix_of_kind(staged.distance, DL))
     assert not roots and block == IntPolynomial((0, -264, 128, -20, 1))
     spec = GroupSpec.q4n(2)

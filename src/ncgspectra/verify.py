@@ -6,20 +6,23 @@ polynomial is kept factored, as `char_poly_factors` finds it: the checked
 twin eigenvalues and one dense block.  It is compared with the closed form
 entry by entry, as multisets of monic irreducible factors over Q, which by
 unique factorization decides equality of the expanded polynomials exactly.
-A match and a mismatch build their report the same way: the entries both
-sides share are expanded once, and each side's own entries are multiplied
-in, for both polynomials and the first differing coefficient.  A mismatch
-never aborts a grid run: its report also carries the oracle's factors that
-the closed form lacks (the residual) and the closed-form entries that do not
-divide the oracle polynomial.
+A match and a mismatch build their report the same way, and it stays
+factored: the entries both sides share, each side's own entries and the
+unsplit block.  Neither polynomial is expanded until something reads it; a
+mismatch's first differing coefficient is read off the factors, truncated
+just past that coefficient.  A mismatch never aborts a grid run: its report
+also carries the oracle's factors that the closed form lacks (the residual)
+and the closed-form entries that do not divide the oracle polynomial.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .closedform import _expand, entry_factor, make_spectrum, spectrum_for
@@ -49,19 +52,43 @@ class VerificationReport:
 
     `order` is the graph order |G| - |Z(G)|.  An error report has it once the
     oracle built the graph or when OrderCapExceeded names it, else None.
+
+    The two characteristic polynomials are kept factored: each is the
+    product of the `shared` entries' factors, the oracle's times its
+    `oracle_only` entries and the unsplit block `rest`, the closed form's
+    times its `closed_only` entries.  `oracle_poly` and `closed_poly` expand
+    them when first read and keep the result; an error report's are both 0.
     """
 
     group: GroupSpec
     kind: MatrixKind
     order: int | None
     matched: bool
-    oracle_poly: IntPolynomial
-    closed_poly: IntPolynomial
     partition: PartitionStructure | None
     diff_summary: str = ""
     residual: IntPolynomial | None = None
-    unmatched_closed: tuple[tuple[object, int], ...] = ()
+    unmatched_closed: tuple[tuple[EigDesc, int], ...] = ()
     error: str | None = None
+    shared: tuple[tuple[EigDesc, int], ...] = ()
+    oracle_only: tuple[tuple[EigDesc, int], ...] = ()
+    closed_only: tuple[tuple[EigDesc, int], ...] = ()
+    rest: IntPolynomial = POLY_ONE
+
+    @cached_property
+    def _shared_poly(self) -> IntPolynomial:
+        return _expand(self.shared)
+
+    @cached_property
+    def oracle_poly(self) -> IntPolynomial:
+        if self.error is not None:
+            return IntPolynomial()
+        return _expand(self.oracle_only, self._shared_poly) * self.rest
+
+    @cached_property
+    def closed_poly(self) -> IntPolynomial:
+        if self.error is not None:
+            return IntPolynomial()
+        return _expand(self.closed_only, self._shared_poly)
 
 
 @dataclass(frozen=True)
@@ -111,14 +138,58 @@ def _minus(
     return [(d, m - counts.get(d, 0)) for d, m in entries if m > counts.get(d, 0)]
 
 
-def _first_diff(a: IntPolynomial, b: IntPolynomial) -> str:
-    ca, cb = a.coeffs, b.coeffs
-    for i in range(max(len(ca), len(cb))):
-        va = ca[i] if i < len(ca) else 0
-        vb = cb[i] if i < len(cb) else 0
-        if va != vb:
-            return f"first differing coefficient at x^{i}: oracle={va}, closed={vb}"
-    return ""
+def _expand_low(
+    entries: Iterable[tuple[EigDesc, int]], k: int, poly: IntPolynomial = POLY_ONE
+) -> tuple[int, ...]:
+    """The coefficients of x^0 .. x^(k-1) of poly times each entry's factor to its multiplicity."""
+
+    def low(p: IntPolynomial) -> IntPolynomial:
+        return IntPolynomial(p.coeffs[:k])
+
+    poly = low(poly)
+    for desc, mult in entries:
+        base = low(entry_factor(desc))
+        while mult:
+            if mult & 1:
+                poly = low(poly * base)
+            mult >>= 1
+            if mult:
+                base = low(base * base)
+    return poly.coeffs + (0,) * (k - len(poly.coeffs))
+
+
+def _diff_summary(
+    shared: tuple[tuple[EigDesc, int], ...],
+    oracle_only: tuple[tuple[EigDesc, int], ...],
+    rest: IntPolynomial,
+    closed_only: tuple[tuple[EigDesc, int], ...],
+) -> str:
+    """The lowest coefficient in which the two polynomials differ, read off their factors.
+
+    The oracle polynomial is S*A and the closed one S*B, with S the shared
+    product, A the oracle-only product times `rest` and B the closed-only
+    product.  S = x^z * S' with z the multiplicity of 0 among the shared
+    entries, so the lowest differing index is z + j, j the lowest index in
+    which A and B differ, and the two values are the x^j coefficients of
+    S'*A and S'*B: only x^0 .. x^j of each factor is formed.  Empty when
+    A = B, which for the report's entries means a match.
+    """
+    degree = rest.degree + 2 * sum(m for _, m in oracle_only + closed_only)  # >= deg A, deg B
+    k = 1
+    while True:
+        a = _expand_low(oracle_only, k, rest)
+        b = _expand_low(closed_only, k)
+        j = next((i for i in range(k) if a[i] != b[i]), None)
+        if j is not None:
+            break
+        if k > degree:
+            return ""
+        k *= 2
+    s = _expand_low([(d, m) for d, m in shared if d != 0], j + 1)
+    va = sum(s[u] * a[j - u] for u in range(j + 1))
+    vb = sum(s[u] * b[j - u] for u in range(j + 1))
+    i = dict(shared).get(0, 0) + j
+    return f"first differing coefficient at x^{i}: oracle={va}, closed={vb}"
 
 
 def verify_instance(
@@ -140,11 +211,13 @@ def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationR
     `rest`: iff nothing is oracle-only, and the closed-only entries, divided
     out of `rest`, leave 1 and no multiplicity over.  Those are the residual
     and leftover that dividing the closed factors out of the expanded oracle
-    polynomial would give.  Match or mismatch, one path builds the report:
-    the entries both sides share are expanded once, then each side's own
-    are multiplied in, for both polynomials and `diff_summary`.  A match's
-    two polynomials are equal, so its `diff_summary` is empty and its
-    residual None.
+    polynomial would give.  Match or mismatch, one path builds the report,
+    which keeps the entries factored: nothing is expanded but the small
+    residual.  A match's two polynomials are equal, so its `diff_summary` is
+    empty and its residual None.  A mismatch's `diff_summary` is formed here
+    all the same, so a value past CPython's int-to-str digit limit raises
+    its ValueError in this call, as does `entry_factor` on an entry it
+    cannot expand.
     """
     roots, block = char_poly_factors(matrix_of_kind(staged.distance, kind))
     spectrum = spectrum_for(spec, kind)
@@ -157,32 +230,34 @@ def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationR
     elif block.degree == 1:
         raw.append((-block.coeffs[0], 1))
     found = make_spectrum(staged.graph.order - rest.degree, kind, raw).entries
-    oracle_only = _minus(found, spectrum.entries)
-    closed_only = _minus(spectrum.entries, found)
+    oracle_only = tuple(_minus(found, spectrum.entries))
+    closed_only = tuple(_minus(spectrum.entries, found))
     residual, leftover = _factor_out(rest, closed_only)
     matched = not oracle_only and not leftover and residual == POLY_ONE
-    shared = _expand(_minus(spectrum.entries, closed_only))
-    oracle_poly = _expand(oracle_only, shared) * rest
-    closed = _expand(closed_only, shared)
+    shared = tuple(_minus(spectrum.entries, closed_only))
+    for desc, _ in shared:
+        entry_factor(desc)  # refuses an entry it cannot expand, on a match too
     return VerificationReport(
         spec,
         kind,
         staged.graph.order,
         matched,
-        oracle_poly,
-        closed,
         staged.partition,
-        diff_summary=_first_diff(oracle_poly, closed),
+        diff_summary="" if matched else _diff_summary(shared, oracle_only, rest, closed_only),
         residual=None if matched else _expand(oracle_only, residual),
         unmatched_closed=leftover,
+        shared=shared,
+        oracle_only=oracle_only,
+        closed_only=closed_only,
+        rest=rest,
     )
 
 
 def _error_report(
     spec: GroupSpec, kind: MatrixKind, order: int | None, exc: Exception
 ) -> VerificationReport:
-    return VerificationReport(spec, kind, order, False, IntPolynomial(), IntPolynomial(),
-                              None, error=f"{type(exc).__name__}: {exc}")
+    return VerificationReport(spec, kind, order, False, None,
+                              error=f"{type(exc).__name__}: {exc}")
 
 
 def _verify_job(args: tuple[GroupSpec, tuple, int]) -> list[VerificationReport]:
@@ -201,6 +276,15 @@ def _verify_job(args: tuple[GroupSpec, tuple, int]) -> list[VerificationReport]:
     return reports
 
 
+# A pool task is a chunk of at most this many groups, and each worker has
+# at most four chunks in flight, so a pool's memory does not grow with the scan.
+POOL_CHUNK = 64
+
+
+def _verify_chunk(work: list[tuple[GroupSpec, tuple, int]]) -> list[VerificationReport]:
+    return [report for job in work for report in _verify_job(job)]
+
+
 def iter_verify(
     specs: Iterable[GroupSpec],
     kinds: tuple[MatrixKind, ...] = ALL_KINDS,
@@ -214,12 +298,18 @@ def iter_verify(
     error report with `error` set to the exception's type and message; any
     other exception is a programming error and propagates.  Reports are in
     (spec, kind) order.  Groups run in a pool of min(jobs, groups, CPUs)
-    processes if that is > 1, with about four chunks per worker.
+    processes if that is > 1.  `specs` is drawn lazily: the pool counts the
+    groups of a first draw of 4 * POOL_CHUNK per possible worker, cuts them
+    into about four chunks per worker, and keeps at most that many chunks in
+    flight, drawing the next chunk as each result is taken.
     """
     work = ((spec, kinds, order_cap) for spec in specs)
+    workers = jobs
     if jobs > 1:
-        work = list(work)
-    workers = jobs if jobs <= 1 else min(jobs, len(work), os.cpu_count() or 1)
+        most = min(jobs, os.cpu_count() or 1)
+        first = list(islice(work, 4 * most * POOL_CHUNK))
+        workers = min(most, len(first))
+        work = chain(first, work)
     if workers <= 1:
         yield from chain.from_iterable(map(_verify_job, work))
         return
@@ -227,9 +317,14 @@ def iter_verify(
     # is about a third of the package's import time
     from concurrent.futures import ProcessPoolExecutor
 
-    size = math.ceil(len(work) / (4 * workers))
+    size = math.ceil(len(first) / (4 * workers))
+    chunks = iter(lambda: list(islice(work, size)), [])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from chain.from_iterable(pool.map(_verify_job, work, chunksize=size))
+        pending = deque(pool.submit(_verify_chunk, c) for c in islice(chunks, 4 * workers))
+        while pending:
+            reports = pending.popleft().result()
+            pending.extend(pool.submit(_verify_chunk, c) for c in islice(chunks, 1))
+            yield from reports
 
 
 def verify_grid(

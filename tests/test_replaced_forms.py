@@ -33,7 +33,10 @@ diameter.
 `verify` expanded the oracle's char poly and the closed form, compared them
 coefficient by coefficient, and on a mismatch divided each closed factor out
 of the oracle polynomial once per unit of multiplicity, where it now compares
-the factored spectra entry by entry and expands only what a report holds.
+the factored spectra entry by entry; it scanned both expanded polynomials
+for the first differing coefficient, where a report now stays factored,
+reads that coefficient off its factors truncated just past it, and expands
+a polynomial only when it is read.
 `eigenbasis_q4n` checked each difference e_i - e_f inside a part by forming
 M v and lambda v as n-tuples, where it now compares columns i and f by
 slices.  `IntPolynomial.__mul__` skipped the zero coefficients of its left
@@ -68,7 +71,6 @@ from ncgspectra import (
     IntPolynomial,
     NCGraph,
     QuadraticEig,
-    VerificationReport,
     center,
     char_poly,
     claimed_partition_sizes,
@@ -1045,6 +1047,18 @@ def reference_first_diff(a, b):
     return ""
 
 
+# What a report tells its readers.  Its dataclass fields hold the factored
+# form; the expanded polynomials and the diff line are read as attributes.
+REPORT_ATTRIBUTES = (
+    "group", "kind", "order", "matched", "oracle_poly", "closed_poly", "partition",
+    "diff_summary", "residual", "unmatched_closed", "error",
+)
+
+
+def observed(report):
+    return {name: getattr(report, name) for name in REPORT_ATTRIBUTES}
+
+
 def reference_compare(spec, kind, staged):
     """Both sides expanded and compared by coefficients; closed factors divided out one at a time."""
     oracle_poly = char_poly(matrix_of_kind(staged.distance, kind))
@@ -1052,18 +1066,23 @@ def reference_compare(spec, kind, staged):
     closed = spectrum_to_polynomial(spectrum)
     matched = oracle_poly == closed
     residual, leftover = (None, ()) if matched else reference_factor_out(oracle_poly, spectrum)
-    return VerificationReport(
-        spec,
-        kind,
-        staged.graph.order,
-        matched,
-        oracle_poly,
-        closed,
-        staged.partition,
+    return dict(
+        group=spec,
+        kind=kind,
+        order=staged.graph.order,
+        matched=matched,
+        oracle_poly=oracle_poly,
+        closed_poly=closed,
+        partition=staged.partition,
         diff_summary=reference_first_diff(oracle_poly, closed),
         residual=residual,
         unmatched_closed=leftover,
+        error=None,
     )
+
+
+def observed_compare(spec, kind, staged):
+    return observed(_compare(spec, kind, staged))
 
 
 def _compare_outcome(compare, spec, kind, staged):
@@ -1079,10 +1098,29 @@ def _compare_outcome(compare, spec, kind, staged):
 def test_factored_comparison_equals_the_expanded_copy(spec):
     staged = oracle(spec, 300)
     reports = [_compare(spec, kind, staged) for kind in ALL_KINDS]
-    assert reports == [reference_compare(spec, kind, staged) for kind in ALL_KINDS]
+    assert list(map(observed, reports)) == [
+        reference_compare(spec, kind, staged) for kind in ALL_KINDS
+    ]
     # the stated QD_2^n and even-m M_2mn D^Q forms are refuted
     refuted = spec.family == "qd" or spec.family == "metacyclic" and spec.m % 2 == 0 and spec.m != 4
     assert [r.matched for r in reports] == [True, True, not refuted]
+
+
+def test_factored_diff_line_equals_the_scan_of_the_expanded_polynomials(grid_results):
+    mismatches = [r for r in grid_results.reports if not r.matched]
+    assert len(mismatches) == 4 + 12  # QD_2^n, and M_2mn for m = 6, 8, 10
+    for report in mismatches:
+        assert report.diff_summary == reference_first_diff(
+            report.oracle_poly, report.closed_poly
+        )
+
+
+@pytest.mark.parametrize("n", [8, 10], ids=["QD_256", "QD_1024"])
+def test_factored_diff_line_equals_the_scan_at_large_orders(n):
+    # QD_1024 D^Q has order 1022; each printed value has about 3,190 digits
+    report = _compare(GroupSpec.qd(n), DQ, oracle(GroupSpec.qd(n), 1100))
+    assert not report.matched
+    assert report.diff_summary == reference_first_diff(report.oracle_poly, report.closed_poly)
 
 
 _staged = cache(oracle)
@@ -1142,7 +1180,7 @@ def test_factored_comparison_equals_the_expanded_copy_on_restated_forms(case):
     staged = _staged(spec)
     with pytest.MonkeyPatch.context() as mp:
         _restate(mp, spec, kind, raw)
-        assert _compare_outcome(_compare, spec, kind, staged) == _compare_outcome(
+        assert _compare_outcome(observed_compare, spec, kind, staged) == _compare_outcome(
             reference_compare, spec, kind, staged
         )
 
@@ -1160,7 +1198,7 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
     for kind in ALL_KINDS:
         report = _compare(spec, kind, staged)
         assert not report.matched
-        assert report == reference_compare(spec, kind, staged)
+        assert observed(report) == reference_compare(spec, kind, staged)
     stated = {
         DL: [(0, 1), (6, 2), (8, 1), (9, 2)],  # the whole D^L spectrum
         D: [(-2, 3), (QuadraticEig(6, -1), 1), (0, 1)],
@@ -1169,7 +1207,7 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
         with pytest.MonkeyPatch.context() as mp:
             _restate(mp, spec, kind, raw)
             report = _compare(spec, kind, staged)
-            assert report == reference_compare(spec, kind, staged)
+            assert observed(report) == reference_compare(spec, kind, staged)
             assert report.matched == (kind == DL)
 
 
@@ -1189,19 +1227,19 @@ def test_factored_comparison_divides_stated_entries_out_of_a_quartic_block():
     with pytest.MonkeyPatch.context() as mp:
         _restate(mp, spec, DL, [(0, 1), (6, 1), (pair, 1)])  # the whole D^L spectrum
         report = _compare(spec, DL, staged)
-        assert report == reference_compare(spec, DL, staged)
+        assert observed(report) == reference_compare(spec, DL, staged)
         assert (report.matched, report.residual) == (True, None)
     with pytest.MonkeyPatch.context() as mp:
         _restate(mp, spec, DL, [(0, 1), (7, 1), (pair, 1)])
         report = _compare(spec, DL, staged)
-        assert report == reference_compare(spec, DL, staged)
+        assert observed(report) == reference_compare(spec, DL, staged)
         assert report.residual == IntPolynomial((-6, 1))
         assert report.unmatched_closed == ((7, 1),)
     with pytest.MonkeyPatch.context() as mp:
         # every stated entry divides, but x - 6 is left of the block
         _restate(mp, spec, DL, [(0, 1), (pair, 1)])
         report = _compare(spec, DL, staged)
-        assert report == reference_compare(spec, DL, staged)
+        assert observed(report) == reference_compare(spec, DL, staged)
         assert (report.matched, report.unmatched_closed) == (False, ())
         assert report.residual == IntPolynomial((-6, 1))
 
@@ -1215,6 +1253,22 @@ def test_a_stated_entry_beyond_the_oracle_is_refuted(kind):
     with pytest.MonkeyPatch.context() as mp:
         _restate(mp, spec, kind, raw)
         report = _compare(spec, kind, staged)
-        assert report == reference_compare(spec, kind, staged)
+        assert observed(report) == reference_compare(spec, kind, staged)
     assert (report.matched, report.residual) == (False, IntPolynomial((1,)))
     assert report.unmatched_closed == ((1000, 1),)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_a_stated_entry_that_cannot_be_expanded_is_refused_on_a_match(kind):
+    # Fraction(v) equals the oracle's v, so the entry is shared and the forms
+    # match; expanding it raises NonIntegralSpectrum, and so does the factored
+    # comparison, which expands no shared entry
+    spec = GroupSpec.q4n(3)
+    staged = _staged(spec)
+    (desc, mult), *rest = spectrum_for(spec, kind).entries
+    with pytest.MonkeyPatch.context() as mp:
+        _restate(mp, spec, kind, [(Fraction(desc), mult), *rest])
+        # raised by the comparison itself, not when a polynomial is read
+        outcome = _compare_outcome(_compare, spec, kind, staged)
+        assert outcome == _compare_outcome(reference_compare, spec, kind, staged)
+    assert outcome == ("NonIntegralSpectrum", f"cannot expand entry {Fraction(desc)!r}")

@@ -131,6 +131,70 @@ class TestVerifyInstance:
             assert closed == [1]
 
 
+class TestFactoredReports:
+    EXPANSIONS = ("_shared_poly", "oracle_poly", "closed_poly")
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        """The entries of every expansion `verify` makes, in order."""
+        import ncgspectra.verify as verify
+
+        calls = []
+        real_expand = verify._expand
+
+        def counting(entries, poly=IntPolynomial((1,))):
+            calls.append(entries)
+            return real_expand(entries, poly)
+
+        monkeypatch.setattr(verify, "_expand", counting)
+        return calls
+
+    def test_a_matched_report_expands_nothing_until_read(self, expanded):
+        report = verify_instance(GroupSpec.q4n(64), DL, order_cap=300)
+        assert report.matched and report.diff_summary == ""
+        assert expanded == []
+        assert not set(self.EXPANSIONS) & set(vars(report))
+        assert report.oracle_poly == report.closed_poly
+        assert report.oracle_poly.degree == 254 and report.oracle_poly.is_monic
+        # the shared entries were expanded once, for both polynomials
+        assert len(expanded) == 3
+        assert set(self.EXPANSIONS) <= set(vars(report))
+
+    def test_a_mismatch_expands_only_its_residual(self, expanded):
+        report = verify_instance(GroupSpec.qd(4), DQ)
+        assert not report.matched and report.diff_summary
+        assert expanded == [report.oracle_only]
+        assert not set(self.EXPANSIONS) & set(vars(report))
+
+    def test_error_report_polynomials_are_zero(self):
+        (report,) = verify_grid([GroupSpec.q4n(12)], (D,), order_cap=10)
+        assert report.error is not None
+        assert report.oracle_poly == report.closed_poly == IntPolynomial()
+
+    def test_a_report_pickles_factored(self):
+        import pickle
+
+        report = verify_instance(GroupSpec.qd(5), DQ)
+        again = pickle.loads(pickle.dumps(report))
+        assert again == report and not set(self.EXPANSIONS) & set(vars(again))
+        assert again.oracle_poly == report.oracle_poly
+
+    def test_a_diff_line_past_the_digit_limit_is_an_error_report(self):
+        import sys
+
+        # the first differing coefficient of QD_2048 D^Q is past CPython's
+        # default int-to-str limit: it raises inside the comparison, so the
+        # grid run turns it into an error report with the graph order
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            (report,) = verify_grid([GroupSpec.qd(11)], (DQ,), order_cap=2100)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (report.order, report.matched) == (2046, False)
+        assert report.error.startswith("ValueError: Exceeds the limit (4300 digits)")
+
+
 class TestVerifyGrid:
     def test_small_grid_counts_and_order(self):
         specs = [GroupSpec.q4n(n) for n in (2, 3, 4)]
@@ -199,16 +263,29 @@ class TestVerifyGrid:
         parallel = verify_grid(specs, ALL_KINDS, jobs=2)
         assert serial == parallel
 
-    def test_pool_workers_clamped_to_cpus_and_work(self, monkeypatch):
+    @staticmethod
+    def serial_pool(monkeypatch, cpus, log):
+        """Replace the process pool by one that runs each chunk when it is taken.
+
+        `log` records each pool's worker count and the groups of each
+        submitted chunk, and counts the chunks in flight: submitted and not
+        yet taken.
+        """
         import concurrent.futures
 
         import ncgspectra.verify as verify
 
-        requested = []
+        class Taken:
+            def __init__(self, fn, work):
+                self.fn, self.work = fn, work
+
+            def result(self):
+                log["in_flight"] -= 1
+                return self.fn(self.work)
 
         class SerialPool:
             def __init__(self, max_workers):
-                requested.append(max_workers)
+                log["workers"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -216,21 +293,71 @@ class TestVerifyGrid:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, work, chunksize):
-                assert chunksize == -(-len(work) // (4 * requested[-1]))
-                return map(fn, work)
+            def submit(self, fn, work):
+                log["chunks"].append(len(work))
+                log["in_flight"] += 1
+                log["most_in_flight"] = max(log["most_in_flight"], log["in_flight"])
+                return Taken(fn, work)
 
+        log.update(workers=[], chunks=[], in_flight=0, most_in_flight=0)
         # verify_grid imports the pool class only when a pool runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+
+    def test_pool_workers_clamped_to_cpus_and_work(self, monkeypatch):
+        import ncgspectra.verify as verify
+
         specs = [GroupSpec.u6n(n) for n in (1, 2)]
         serial = verify_grid(specs, ALL_KINDS, jobs=1)
+        log = {}
+        self.serial_pool(monkeypatch, 3, log)
         assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
         assert verify_grid(specs, (D,), jobs=5000) == [r for r in serial if r.kind == D]
-        assert requested == [2, 2]
+        # two groups: two workers, and four chunks per worker hold one group each
+        assert log["workers"] == [2, 2]
+        assert log["chunks"] == [1, 1] * 2
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         assert verify_grid(specs, ALL_KINDS, jobs=5000) == serial
-        assert requested == [2, 2]
+        assert log["workers"] == [2, 2]
+        # a grid within the first draw is cut into about four chunks per worker
+        grid = default_grid()
+        self.serial_pool(monkeypatch, 3, log)
+        assert verify_grid(grid, (D,), jobs=2) == verify_grid(grid, (D,), jobs=1)
+        assert log["workers"] == [2]
+        assert log["chunks"] == [8] * 7 + [1]
+
+    def test_pool_draws_specs_lazily_and_bounds_the_work_in_flight(self, monkeypatch):
+        import ncgspectra.verify as verify
+
+        drawn = 0
+
+        def counting_specs(count):
+            nonlocal drawn
+            # from Q_4000 on, every group is refused by the cap from its parameters
+            for n in range(1000, 1000 + count):
+                drawn += 1
+                yield GroupSpec.q4n(n)
+
+        log = {}
+        self.serial_pool(monkeypatch, 2, log)
+        chunk = verify.POOL_CHUNK
+        groups = 20 * chunk + 5
+        taken = 0
+        for taken, report in enumerate(iter_verify(counting_specs(groups), (D,), jobs=2), 1):
+            assert report.group == GroupSpec.q4n(999 + taken)
+            assert report.error.startswith("OrderCapExceeded")
+            # the first draw of 4 * chunk groups per worker, then one chunk
+            # per result taken; never the whole scan
+            assert drawn <= max(8 * chunk, taken + 9 * chunk)
+        assert taken == groups
+        assert log["workers"] == [2]
+        assert log["chunks"] == [chunk] * 20 + [5]
+        assert log["most_in_flight"] == 8 and log["in_flight"] == 0
+        # the scan is drawn once, and the serial path draws it lazily too
+        drawn = 0
+        stream = iter_verify(counting_specs(groups), (D,), jobs=1)
+        next(stream)
+        assert drawn == 1
 
     def test_serial_run_asks_for_no_cpu_count(self, monkeypatch):
         import ncgspectra.verify as verify

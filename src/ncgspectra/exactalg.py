@@ -135,8 +135,8 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
-        # A factor of 1 is common: every expansion starts from it, and it is
-        # the unsplit rest of every family matrix's char poly.
+        # A factor of 1 is common: every expansion and every power starts
+        # from it.
         if a == (1,):
             return other
         if b == (1,):

@@ -3,16 +3,16 @@
 The oracle (group -> graph -> matrix -> characteristic polynomial) is ground
 truth; the closed forms are claims under test.  The oracle's characteristic
 polynomial is kept factored, as `char_poly_factors` finds it: the checked
-twin eigenvalues and one dense block.  It is compared with the closed form
-entry by entry, as multisets of monic irreducible factors over Q, which by
-unique factorization decides equality of the expanded polynomials exactly.
-A match and a mismatch build their report the same way, and it stays
-factored: the entries both sides share, each side's own entries and the
-unsplit block.  Neither polynomial is expanded until something reads it; a
-mismatch's first differing coefficient is read off the factors, truncated
-just past that coefficient.  A mismatch never aborts a grid run: its report
-also carries the oracle's factors that the closed form lacks (the residual)
-and the closed-form entries that do not divide the oracle polynomial.
+twin eigenvalues and one dense block.  The closed form's entries are monic
+irreducible factors over Q; each is matched first against the eigenvalues,
+then divided out of the block, which by unique factorization decides
+equality of the expanded polynomials exactly.  A match and a mismatch build
+their report the same way, and it stays factored: the stated entries that
+matched, what is left of the oracle's factors (the residual) and the stated
+entries that did not divide.  Neither polynomial is expanded until
+something reads it; a mismatch's first differing coefficient is read off
+the factors, truncated just past that coefficient.  A mismatch never aborts
+a grid run.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
-from .closedform import _expand, entry_factor, make_spectrum, spectrum_for
+from .closedform import _expand, entry_factor, spectrum_for
 from .exactalg import (
     POLY_ONE,
     IntPolynomial,
-    QuadraticEig,
     char_poly_factors,
     is_perfect_square,
     rational_roots_of_quadratic,
@@ -53,11 +52,12 @@ class VerificationReport:
     `order` is the graph order |G| - |Z(G)|.  An error report has it once the
     oracle built the graph or when OrderCapExceeded names it, else None.
 
-    The two characteristic polynomials are kept factored: each is the
-    product of the `shared` entries' factors, the oracle's times its
-    `oracle_only` entries and the unsplit block `rest`, the closed form's
-    times its `closed_only` entries.  `oracle_poly` and `closed_poly` expand
-    them when first read and keep the result; an error report's are both 0.
+    The two characteristic polynomials are kept factored.  `shared` holds
+    the stated entries that matched; the oracle's polynomial is their
+    product times `residual` (None on a match, where it is 1), the closed
+    form's their product times the `unmatched_closed` entries.
+    `oracle_poly` and `closed_poly` expand them when first read and keep the
+    result; an error report's are both 0.
     """
 
     group: GroupSpec
@@ -70,9 +70,6 @@ class VerificationReport:
     unmatched_closed: tuple[tuple[EigDesc, int], ...] = ()
     error: str | None = None
     shared: tuple[tuple[EigDesc, int], ...] = ()
-    oracle_only: tuple[tuple[EigDesc, int], ...] = ()
-    closed_only: tuple[tuple[EigDesc, int], ...] = ()
-    rest: IntPolynomial = POLY_ONE
 
     @cached_property
     def _shared_poly(self) -> IntPolynomial:
@@ -82,13 +79,15 @@ class VerificationReport:
     def oracle_poly(self) -> IntPolynomial:
         if self.error is not None:
             return IntPolynomial()
-        return _expand(self.oracle_only, self._shared_poly) * self.rest
+        if self.residual is None:
+            return self._shared_poly
+        return self._shared_poly * self.residual
 
     @cached_property
     def closed_poly(self) -> IntPolynomial:
         if self.error is not None:
             return IntPolynomial()
-        return _expand(self.closed_only, self._shared_poly)
+        return _expand(self.unmatched_closed, self._shared_poly)
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,13 @@ def _minus(
     return [(d, m - counts.get(d, 0)) for d, m in entries if m > counts.get(d, 0)]
 
 
-def _expand_low(
-    entries: Iterable[tuple[EigDesc, int]], k: int, poly: IntPolynomial = POLY_ONE
-) -> tuple[int, ...]:
-    """The coefficients of x^0 .. x^(k-1) of poly times each entry's factor to its multiplicity."""
+def _expand_low(entries: Iterable[tuple[EigDesc, int]], k: int) -> tuple[int, ...]:
+    """The coefficients of x^0 .. x^(k-1) of each entry's factor to its multiplicity, multiplied."""
 
     def low(p: IntPolynomial) -> IntPolynomial:
         return IntPolynomial(p.coeffs[:k])
 
-    poly = low(poly)
+    poly = POLY_ONE
     for desc, mult in entries:
         base = low(entry_factor(desc))
         while mult:
@@ -160,31 +157,23 @@ def _expand_low(
 
 def _diff_summary(
     shared: tuple[tuple[EigDesc, int], ...],
-    oracle_only: tuple[tuple[EigDesc, int], ...],
-    rest: IntPolynomial,
-    closed_only: tuple[tuple[EigDesc, int], ...],
+    residual: IntPolynomial,
+    unmatched: tuple[tuple[EigDesc, int], ...],
 ) -> str:
     """The lowest coefficient in which the two polynomials differ, read off their factors.
 
-    The oracle polynomial is S*A and the closed one S*B, with S the shared
-    product, A the oracle-only product times `rest` and B the closed-only
-    product.  S = x^z * S' with z the multiplicity of 0 among the shared
-    entries, so the lowest differing index is z + j, j the lowest index in
-    which A and B differ, and the two values are the x^j coefficients of
-    S'*A and S'*B: only x^0 .. x^j of each factor is formed.  Empty when
-    A = B, which for the report's entries means a match.
+    The oracle polynomial is S*R and the closed one S*U, with S the shared
+    product, R the residual and U the unmatched product.  S = x^z * S' with z
+    the multiplicity of 0 among the shared entries, so the lowest differing
+    index is z + j, j the lowest index in which R and U differ, and the two
+    values are the x^j coefficients of S'*R and S'*U: only x^0 .. x^j of S'
+    is formed.  On a mismatch R != U: each unmatched entry is a monic
+    irreducible that does not divide R, and R != 1 when none is left.
     """
-    degree = rest.degree + 2 * sum(m for _, m in oracle_only + closed_only)  # >= deg A, deg B
-    k = 1
-    while True:
-        a = _expand_low(oracle_only, k, rest)
-        b = _expand_low(closed_only, k)
-        j = next((i for i in range(k) if a[i] != b[i]), None)
-        if j is not None:
-            break
-        if k > degree:
-            return ""
-        k *= 2
+    a, b = residual.coeffs, _expand(unmatched).coeffs
+    width = max(len(a), len(b))
+    a, b = a + (0,) * (width - len(a)), b + (0,) * (width - len(b))
+    j = next(i for i in range(width) if a[i] != b[i])
     s = _expand_low([(d, m) for d, m in shared if d != 0], j + 1)
     va = sum(s[u] * a[j - u] for u in range(j + 1))
     vb = sum(s[u] * b[j - u] for u in range(j + 1))
@@ -202,54 +191,42 @@ def verify_instance(
 def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationReport:
     """Everything after the oracle: factored char poly, closed form and comparison.
 
-    The oracle's twin eigenvalues, and its dense block when of degree <= 2,
-    are normalized by `make_spectrum` like the closed form's entries; a
-    block of higher degree stays an unsplit `rest`.  Every entry on either
-    side is then a monic irreducible over Q: x - v, or a quadratic whose
-    discriminant is not a square.  So by unique factorization the two
-    polynomials are equal iff the entry multisets differ only by factors of
-    `rest`: iff nothing is oracle-only, and the closed-only entries, divided
-    out of `rest`, leave 1 and no multiplicity over.  Those are the residual
-    and leftover that dividing the closed factors out of the expanded oracle
-    polynomial would give.  Match or mismatch, one path builds the report,
-    which keeps the entries factored: nothing is expanded but the small
-    residual.  A match's two polynomials are equal, so its `diff_summary` is
-    empty and its residual None.  A mismatch's `diff_summary` is formed here
-    all the same, so a value past CPython's int-to-str digit limit raises
-    its ValueError in this call, as does `entry_factor` on an entry it
-    cannot expand.
+    Every stated entry is a monic irreducible over Q: x - v, or a quadratic
+    whose discriminant is not a square.  Each is matched first against the
+    oracle's twin eigenvalues, up to their multiplicity, and what they do
+    not cover is divided out of the dense block, whatever its degree, at
+    most the entry's multiplicity times.  By unique factorization the two
+    polynomials are equal iff no eigenvalue is left uncovered, the block
+    leaves 1 and no stated multiplicity is left over.  The matched entries
+    are the report's `shared`, the uncovered eigenvalues times what is left
+    of the block its residual, and the multiplicities left over its
+    `unmatched_closed`.  Match or mismatch, one path builds the report,
+    which keeps the entries factored: a match expands nothing, a mismatch
+    its residual and the unmatched product.  A match's two polynomials are
+    equal, so its `diff_summary` is empty and its residual None.  A
+    mismatch's `diff_summary` is formed here all the same, so a value past
+    CPython's int-to-str digit limit raises its ValueError in this call, as
+    does `entry_factor` on an entry it cannot expand.
     """
     roots, block = char_poly_factors(matrix_of_kind(staged.distance, kind))
-    spectrum = spectrum_for(spec, kind)
-    raw = list(roots.items())
-    rest = POLY_ONE
-    if block.degree > 2:
-        rest = block
-    elif block.degree == 2:
-        raw.append((QuadraticEig(-block.coeffs[1], block.coeffs[0]), 1))
-    elif block.degree == 1:
-        raw.append((-block.coeffs[0], 1))
-    found = make_spectrum(staged.graph.order - rest.degree, kind, raw).entries
-    oracle_only = tuple(_minus(found, spectrum.entries))
-    closed_only = tuple(_minus(spectrum.entries, found))
-    residual, leftover = _factor_out(rest, closed_only)
-    matched = not oracle_only and not leftover and residual == POLY_ONE
-    shared = tuple(_minus(spectrum.entries, closed_only))
+    stated = spectrum_for(spec, kind).entries
+    block, unmatched = _factor_out(block, _minus(stated, roots.items()))
+    shared = tuple(_minus(stated, unmatched))
     for desc, _ in shared:
         entry_factor(desc)  # refuses an entry it cannot expand, on a match too
+    uncovered = _minus(roots.items(), stated)
+    matched = not uncovered and not unmatched and block == POLY_ONE
+    residual = None if matched else _expand(uncovered, block)
     return VerificationReport(
         spec,
         kind,
         staged.graph.order,
         matched,
         staged.partition,
-        diff_summary="" if matched else _diff_summary(shared, oracle_only, rest, closed_only),
-        residual=None if matched else _expand(oracle_only, residual),
-        unmatched_closed=leftover,
+        diff_summary="" if matched else _diff_summary(shared, residual, unmatched),
+        residual=residual,
+        unmatched_closed=unmatched,
         shared=shared,
-        oracle_only=oracle_only,
-        closed_only=closed_only,
-        rest=rest,
     )
 
 

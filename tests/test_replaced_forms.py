@@ -36,7 +36,13 @@ of the oracle polynomial once per unit of multiplicity, where it now compares
 the factored spectra entry by entry; it scanned both expanded polynomials
 for the first differing coefficient, where a report now stays factored,
 reads that coefficient off its factors truncated just past it, and expands
-a polynomial only when it is read.
+a polynomial only when it is read.  It then normalized the oracle's twin
+eigenvalues and a dense block of degree <= 2 into spectrum entries, compared
+them with the stated ones as multisets and divided only a larger block,
+and it found that coefficient by a doubling search over both sides' own
+entries, where every stated entry the eigenvalues do not cover is now
+divided out of the block, whatever its degree, and the coefficient is read
+off the residual and the unmatched product.
 `eigenbasis_q4n` checked each difference e_i - e_f inside a part by forming
 M v and lambda v as n-tuples, where it now compares columns i and f by
 slices.  `IntPolynomial.__mul__` skipped the zero coefficients of its left
@@ -94,14 +100,16 @@ from ncgspectra import (
 from ncgspectra.closedform import (
     _Q4N_FAMILIES,
     _differences,
+    _expand,
     _on_blocks,
     entry_factor,
+    make_spectrum,
 )
-from ncgspectra.exactalg import char_poly_factors
+from ncgspectra.exactalg import POLY_ONE, char_poly_factors
 from ncgspectra.families import METACYCLIC_FAMILY, Q4N_FAMILY, scaled_root_pair
 from ncgspectra.graphs import Oracle, select_bits
 from ncgspectra.groups import Rule, _progression, bit_indices
-from ncgspectra.verify import _compare
+from ncgspectra.verify import _compare, _expand_low, _factor_out, _minus
 
 from charpoly_reference import products_but_one
 from test_closedform import WRONG_Q4N_FORMS
@@ -1081,6 +1089,72 @@ def reference_compare(spec, kind, staged):
     )
 
 
+def reference_doubling_diff(shared, oracle_only, rest, closed_only):
+    """The first differing coefficient of S*A and S*B, found by doubling the truncation.
+
+    S is the shared product, A the oracle-only product times `rest`, B the
+    closed-only product.
+    """
+    degree = rest.degree + 2 * sum(m for _, m in oracle_only + closed_only)  # >= deg A, deg B
+    k = 1
+    while True:
+        low_a = IntPolynomial(_expand_low(oracle_only, k)) * rest
+        a = (low_a.coeffs + (0,) * k)[:k]
+        b = _expand_low(closed_only, k)
+        j = next((i for i in range(k) if a[i] != b[i]), None)
+        if j is not None:
+            break
+        if k > degree:
+            return ""
+        k *= 2
+    s = _expand_low([(d, m) for d, m in shared if d != 0], j + 1)
+    va = sum(s[u] * a[j - u] for u in range(j + 1))
+    vb = sum(s[u] * b[j - u] for u in range(j + 1))
+    i = dict(shared).get(0, 0) + j
+    return f"first differing coefficient at x^{i}: oracle={va}, closed={vb}"
+
+
+def reference_normalized_compare(spec, kind, staged):
+    """Twin eigenvalues and a block of degree <= 2 normalized like the closed form.
+
+    They are compared with the stated entries as multisets; a block of
+    higher degree stays whole, and the stated entries left over are divided
+    out of it.
+    """
+    roots, block = char_poly_factors(matrix_of_kind(staged.distance, kind))
+    spectrum = spectrum_for(spec, kind)
+    raw = list(roots.items())
+    rest = POLY_ONE
+    if block.degree > 2:
+        rest = block
+    elif block.degree == 2:
+        raw.append((QuadraticEig(-block.coeffs[1], block.coeffs[0]), 1))
+    elif block.degree == 1:
+        raw.append((-block.coeffs[0], 1))
+    found = make_spectrum(staged.graph.order - rest.degree, kind, raw).entries
+    oracle_only = tuple(_minus(found, spectrum.entries))
+    closed_only = tuple(_minus(spectrum.entries, found))
+    residual, leftover = _factor_out(rest, closed_only)
+    matched = not oracle_only and not leftover and residual == POLY_ONE
+    shared = tuple(_minus(spectrum.entries, closed_only))
+    shared_poly = _expand(shared)
+    return dict(
+        group=spec,
+        kind=kind,
+        order=staged.graph.order,
+        matched=matched,
+        oracle_poly=_expand(oracle_only, shared_poly) * rest,
+        closed_poly=_expand(closed_only, shared_poly),
+        partition=staged.partition,
+        diff_summary="" if matched else reference_doubling_diff(
+            shared, oracle_only, rest, closed_only
+        ),
+        residual=None if matched else _expand(oracle_only, residual),
+        unmatched_closed=leftover,
+        error=None,
+    )
+
+
 def observed_compare(spec, kind, staged):
     return observed(_compare(spec, kind, staged))
 
@@ -1101,6 +1175,9 @@ def test_factored_comparison_equals_the_expanded_copy(spec):
     assert list(map(observed, reports)) == [
         reference_compare(spec, kind, staged) for kind in ALL_KINDS
     ]
+    assert list(map(observed, reports)) == [
+        reference_normalized_compare(spec, kind, staged) for kind in ALL_KINDS
+    ]
     # the stated QD_2^n and even-m M_2mn D^Q forms are refuted
     refuted = spec.family == "qd" or spec.family == "metacyclic" and spec.m % 2 == 0 and spec.m != 4
     assert [r.matched for r in reports] == [True, True, not refuted]
@@ -1118,9 +1195,12 @@ def test_factored_diff_line_equals_the_scan_of_the_expanded_polynomials(grid_res
 @pytest.mark.parametrize("n", [8, 10], ids=["QD_256", "QD_1024"])
 def test_factored_diff_line_equals_the_scan_at_large_orders(n):
     # QD_1024 D^Q has order 1022; each printed value has about 3,190 digits
-    report = _compare(GroupSpec.qd(n), DQ, oracle(GroupSpec.qd(n), 1100))
+    spec = GroupSpec.qd(n)
+    staged = oracle(spec, 1100)
+    report = _compare(spec, DQ, staged)
     assert not report.matched
     assert report.diff_summary == reference_first_diff(report.oracle_poly, report.closed_poly)
+    assert observed(report) == reference_normalized_compare(spec, DQ, staged)
 
 
 _staged = cache(oracle)
@@ -1175,14 +1255,20 @@ RESTATED_SPECS = [s for s in default_grid() if sum(claimed_partition_sizes(s)) <
 
 @settings(max_examples=300, deadline=None)
 @given(restated_forms())
+# Q_8's D^L block is x; its root stated twice leaves (0)^1 over, and the
+# uncovered twin eigenvalue 6 is the residual
+@example((GroupSpec.q4n(2), DL, [(0, 2), (6, 1), (8, 3)]))
+# M_12's D^Q block (x - 12)(x - 22) is divided by two stated entries, and
+# (16)^3 is left over
+@example((GroupSpec.metacyclic(6, 1), DQ, [(8, 2), (10, 3), (12, 1), (16, 3), (22, 1)]))
 def test_factored_comparison_equals_the_expanded_copy_on_restated_forms(case):
     spec, kind, raw = case
     staged = _staged(spec)
     with pytest.MonkeyPatch.context() as mp:
         _restate(mp, spec, kind, raw)
-        assert _compare_outcome(observed_compare, spec, kind, staged) == _compare_outcome(
-            reference_compare, spec, kind, staged
-        )
+        outcome = _compare_outcome(observed_compare, spec, kind, staged)
+        assert outcome == _compare_outcome(reference_compare, spec, kind, staged)
+        assert outcome == _compare_outcome(reference_normalized_compare, spec, kind, staged)
 
 
 def test_factored_comparison_keeps_a_cubic_block_unsplit():
@@ -1199,6 +1285,7 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
         report = _compare(spec, kind, staged)
         assert not report.matched
         assert observed(report) == reference_compare(spec, kind, staged)
+        assert observed(report) == reference_normalized_compare(spec, kind, staged)
     stated = {
         DL: [(0, 1), (6, 2), (8, 1), (9, 2)],  # the whole D^L spectrum
         D: [(-2, 3), (QuadraticEig(6, -1), 1), (0, 1)],
@@ -1208,6 +1295,7 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
             _restate(mp, spec, kind, raw)
             report = _compare(spec, kind, staged)
             assert observed(report) == reference_compare(spec, kind, staged)
+            assert observed(report) == reference_normalized_compare(spec, kind, staged)
             assert report.matched == (kind == DL)
 
 
@@ -1228,11 +1316,13 @@ def test_factored_comparison_divides_stated_entries_out_of_a_quartic_block():
         _restate(mp, spec, DL, [(0, 1), (6, 1), (pair, 1)])  # the whole D^L spectrum
         report = _compare(spec, DL, staged)
         assert observed(report) == reference_compare(spec, DL, staged)
+        assert observed(report) == reference_normalized_compare(spec, DL, staged)
         assert (report.matched, report.residual) == (True, None)
     with pytest.MonkeyPatch.context() as mp:
         _restate(mp, spec, DL, [(0, 1), (7, 1), (pair, 1)])
         report = _compare(spec, DL, staged)
         assert observed(report) == reference_compare(spec, DL, staged)
+        assert observed(report) == reference_normalized_compare(spec, DL, staged)
         assert report.residual == IntPolynomial((-6, 1))
         assert report.unmatched_closed == ((7, 1),)
     with pytest.MonkeyPatch.context() as mp:
@@ -1240,6 +1330,7 @@ def test_factored_comparison_divides_stated_entries_out_of_a_quartic_block():
         _restate(mp, spec, DL, [(0, 1), (pair, 1)])
         report = _compare(spec, DL, staged)
         assert observed(report) == reference_compare(spec, DL, staged)
+        assert observed(report) == reference_normalized_compare(spec, DL, staged)
         assert (report.matched, report.unmatched_closed) == (False, ())
         assert report.residual == IntPolynomial((-6, 1))
 

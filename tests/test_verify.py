@@ -136,14 +136,15 @@ class TestFactoredReports:
 
     @pytest.fixture
     def expanded(self, monkeypatch):
-        """The entries of every expansion `verify` makes, in order."""
+        """The entries and starting polynomial of every expansion `verify` makes, in order."""
         import ncgspectra.verify as verify
 
         calls = []
         real_expand = verify._expand
 
         def counting(entries, poly=IntPolynomial((1,))):
-            calls.append(entries)
+            entries = tuple(entries)
+            calls.append((entries, poly))
             return real_expand(entries, poly)
 
         monkeypatch.setattr(verify, "_expand", counting)
@@ -156,14 +157,18 @@ class TestFactoredReports:
         assert not set(self.EXPANSIONS) & set(vars(report))
         assert report.oracle_poly == report.closed_poly
         assert report.oracle_poly.degree == 254 and report.oracle_poly.is_monic
-        # the shared entries were expanded once, for both polynomials
-        assert len(expanded) == 3
+        # the shared entries were expanded once, for both polynomials, and
+        # the closed one multiplied by its (empty) unmatched entries
+        assert [entries for entries, _ in expanded] == [report.shared, ()]
         assert set(self.EXPANSIONS) <= set(vars(report))
 
-    def test_a_mismatch_expands_only_its_residual(self, expanded):
+    def test_a_mismatch_expands_its_residual_and_unmatched_product(self, expanded):
         report = verify_instance(GroupSpec.qd(4), DQ)
         assert not report.matched and report.diff_summary
-        assert expanded == [report.oracle_only]
+        # the residual is the oracle's block, no twin eigenvalue left over;
+        # the diff line reads the unmatched product, and no shared entry
+        # is expanded
+        assert expanded == [((), report.residual), (report.unmatched_closed, IntPolynomial((1,)))]
         assert not set(self.EXPANSIONS) & set(vars(report))
 
     def test_error_report_polynomials_are_zero(self):

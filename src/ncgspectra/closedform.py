@@ -241,9 +241,9 @@ def eigenbasis_q4n(kind: MatrixKind, n: int) -> EigenbasisResult:
     if kind == MatrixKind.DISTANCE:
         raise ValueError("eigenbasis is available for dl and dq only")
     spec = GroupSpec.q4n(n)
-    graph, partition, distance = oracle(spec)
-    matrix, order = matrix_of_kind(distance, kind), graph.order
-    big, *small = partition.classes
+    staged = oracle(spec)
+    matrix, order = matrix_of_kind(staged.distance, kind), staged.graph.order
+    big, *small = staged.partition.classes
     shapes = {
         "all-ones": lambda: [((tuple(range(order)), 1),)],
         "big-part-vs-one-small-part": lambda: [

@@ -7,10 +7,15 @@ is left.  One pass scans the indices in order: index v joins the current
 run, whose first index is s, when column v minus column s is checked to be
 lambda (e_v - e_s), and starts a new run otherwise.  Each such lambda splits
 off, and the same pass repeats on the leader block of the runs' first
-indices until it finds no twin.  For the part-major D, D^L and D^Q of a
-complete multipartite graph the first runs are its parts, with all parts of
-one vertex as a single run; for the four families here the recursion ends
-in a block of order 2 for D and D^Q and of order 1 for D^L.
+indices until it finds no twin.  The first pass has two readers: a dense
+`IntMatrix` compares column slices (`twin_eigenvalue`), and a `MaskMatrix`,
+a symmetric matrix given by one neighbour mask per index, a diagonal and
+two off-diagonal values, compares masks and forms the leader block from
+popcounts, with no n x n table; every later pass, and the engine, is dense.
+For the part-major D, D^L and D^Q of a complete multipartite graph the
+first runs are its parts, with all parts of one vertex as a single run; for
+the four families here the recursion ends in a block of order 2 for D and
+D^Q and of order 1 for D^L.
 That block is reduced to upper Hessenberg form, and the Hessenberg
 recurrence is run, modulo a prime above twice an a-priori bound on the
 block's coefficients, so that the symmetric residues are the exact integers.
@@ -34,7 +39,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
@@ -77,6 +82,74 @@ class IntMatrix:
         Not a dataclass field: equality, hashing and repr see only `rows`.
         """
         return tuple(zip(*self.rows))
+
+
+@dataclass(frozen=True)
+class MaskMatrix:
+    """Symmetric integer matrix in mask form: one neighbour mask per index.
+
+    Entry (i, j), i != j, is `on` when bit j of masks[i] is set and `off`
+    otherwise; entry (i, i) is diagonal[i], whatever bit i of masks[i].  The
+    masks must be symmetric off the diagonal (bit j of masks[i] equals bit i
+    of masks[j]), as a graph's neighbour masks are, so column j is row j.
+    """
+
+    masks: tuple[int, ...]
+    diagonal: tuple[int, ...]
+    on: int
+    off: int
+
+    @property
+    def n(self) -> int:
+        return len(self.masks)
+
+    def twin_eigenvalue(self, s: int, v: int) -> int | None:
+        """`twin_eigenvalue` on the materialized columns, read off the masks.
+
+        Column v minus column s vanishes outside {s, v} iff every other index
+        sees s and v alike, which by symmetry is masks[s] and masks[v]
+        agreeing off bits s and v; the 2 x 2 entries on {s, v} then give
+        lambda = M[v][v] - M[v][s], which must equal M[s][s] - M[s][v].
+        """
+        ms, mv = self.masks[s], self.masks[v]
+        if (ms ^ mv) & ~(1 << s | 1 << v):
+            return None
+        lam = self.diagonal[v] - (self.on if mv >> s & 1 else self.off)
+        same = self.diagonal[s] - (self.on if ms >> v & 1 else self.off) == lam
+        return lam if same else None
+
+    def leader_block(self, bounds: Sequence[int]) -> IntMatrix:
+        """B[i][j], the sum over run i of column s_j, for the runs between `bounds`.
+
+        Run i is the index range [bounds[i], bounds[i+1]) and s_j, run j's
+        first index, its leader.  Column s_j is row s_j: `on` on its mask's
+        bits and `off` elsewhere, so with pc the popcount of its mask over
+        run i, bit s_j left out, B[i][j] = on * pc + off * (len - pc), and on
+        run j itself diagonal[s_j] takes the place of one `off`.  The popcounts
+        are counts of '1' in the mask's binary string, one per run and leader.
+        """
+        fmt, on, off = f"0{self.n}b", self.on, self.off
+        runs = list(zip(bounds, bounds[1:]))
+        cols = []
+        for j, (s, _) in enumerate(runs):
+            # the string lists index n - 1 first; reversed, index i is character i
+            bits = format(self.masks[s] & ~(1 << s), fmt)[::-1]
+            col = [off * (b - a) + (on - off) * bits.count("1", a, b) for a, b in runs]
+            col[j] += self.diagonal[s] - off
+            cols.append(col)
+        return IntMatrix(tuple(zip(*cols)))
+
+    def dense(self) -> IntMatrix:
+        """The matrix as rows, entry by entry.
+
+        `char_poly_factors` needs it only for a form whose first pass finds
+        no twin, which no family's graph gives.
+        """
+        values = (self.off, self.on)
+        return IntMatrix(tuple(
+            tuple(d if j == i else values[mask >> j & 1] for j in range(self.n))
+            for i, (mask, d) in enumerate(zip(self.masks, self.diagonal))
+        ))
 
 
 class IntPolynomial:
@@ -293,7 +366,7 @@ def twin_eigenvalue(cols: Sequence[Sequence[int]], s: int, v: int) -> int | None
     return lam if same and a[s] - b[s] == lam else None
 
 
-def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
+def char_poly_factors(matrix: IntMatrix | MaskMatrix) -> tuple[Counter[int], IntPolynomial]:
     """det(xI - M) unexpanded: the checked twin eigenvalues and the dense block's polynomial.
 
     Returns (roots, block) with det(xI - M) = block * prod (x - lambda)^m
@@ -311,7 +384,9 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     the transpose of the equitable-partition quotient (Godsil & Royle,
     Algebraic Graph Theory, 9.3).  The pass repeats on B until it records
     no eigenvalue.  Each split is checked, so the result is exact for any
-    input.
+    input.  A MaskMatrix gives its first pass's checks and B off its masks,
+    by its own `twin_eigenvalue` and `leader_block`, with no n x n table;
+    if that pass records no eigenvalue it is materialized by `dense`.
 
     The last block, M of order n from here on, goes to the dense engine.
     The coefficient of x^(n-k) is (-1)^k e_k of the eigenvalues.  Every
@@ -328,10 +403,11 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
     """
     roots: Counter[int] = Counter()
     while True:
-        cols = matrix.columns
+        masked = isinstance(matrix, MaskMatrix)
+        twin = matrix.twin_eigenvalue if masked else partial(twin_eigenvalue, matrix.columns)
         leaders, lams = [0], []
         for v in range(1, matrix.n):
-            lam = twin_eigenvalue(cols, leaders[-1], v)
+            lam = twin(leaders[-1], v)
             if lam is None:
                 leaders.append(v)
             else:
@@ -340,9 +416,15 @@ def char_poly_factors(matrix: IntMatrix) -> tuple[Counter[int], IntPolynomial]:
             break
         roots.update(lams)
         bounds = [*leaders, matrix.n]
-        matrix = IntMatrix(tuple(
-            tuple(sum(cols[s][a:b]) for s in leaders) for a, b in zip(bounds, bounds[1:])
-        ))
+        if masked:
+            matrix = matrix.leader_block(bounds)
+        else:
+            cols = matrix.columns
+            matrix = IntMatrix(tuple(
+                tuple(sum(cols[s][a:b]) for s in leaders) for a, b in zip(bounds, bounds[1:])
+            ))
+    if masked:
+        matrix = matrix.dense()
     n = matrix.n
     if n == 0:
         return roots, POLY_ONE

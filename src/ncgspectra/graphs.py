@@ -8,19 +8,23 @@ on the masks; the part-major graph is then built from the certified part sizes.
 The non-commuting graph of a non-abelian group is connected with diameter 2
 (Abdollahi, Akbari & Maimani, *Non-commuting graph of a group*, J. Algebra 298
 (2006), Prop. 2.1), so every distance is 1 on a vertex's mask and 2 off it.
-The distance matrix is read off the masks, once per distinct neighbourhood,
-and the read is checked: a vertex with no path of length at most 2 to some
-other vertex raises DisconnectedGraph rather than getting a wrong entry.
+One check, once per distinct neighbourhood, makes that read safe: a vertex
+with no path of length at most 2 to some other vertex raises
+DisconnectedGraph rather than getting a wrong entry.  D, D^L and D^Q are
+then the masks in `MaskMatrix` form (`mask_form`), with each transmission a
+popcount; the oracle hands that form to the char poly, and `distance_matrix`
+and `matrix_of_kind` materialize the dense rows for those who read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .exactalg import IntMatrix
+from .exactalg import IntMatrix, MaskMatrix
 from .families import GroupSpec, MatrixKind
 from .groups import FiniteGroup, bit_indices, center, enumerate_elements
 
@@ -162,6 +166,51 @@ def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     return reordered, replace(partition, classes=blocks)
 
 
+def _check_diameter_2(graph: NCGraph) -> None:
+    """Raise DisconnectedGraph unless every vertex is within distance 2 of every other.
+
+    Per distinct neighbour mask, once: its 2-step reach, the mask ORed with
+    its neighbours' masks, stopping once every vertex is covered.  A vertex
+    that, with its reach, misses some vertex is named with the lowest one
+    missed.
+    """
+    everything = (1 << graph.order) - 1
+    neighbors = graph.neighbors
+    reach_of: dict[int, int] = {}
+    for src, mask in enumerate(neighbors):
+        reach = reach_of.get(mask)
+        if reach is None:
+            reach = mask
+            for u in bit_indices(mask):
+                reach |= neighbors[u]
+                if reach == everything:
+                    break
+            reach_of[mask] = reach
+        missing = everything & ~(reach | 1 << src)
+        if missing:
+            far = (missing & -missing).bit_length() - 1
+            raise DisconnectedGraph(f"vertex {far} is not within distance 2 of vertex {src}")
+
+
+def mask_form(graph: NCGraph, kind: MatrixKind) -> MaskMatrix:
+    """D, D^L or D^Q of a graph of diameter at most 2, on its neighbour masks.
+
+    Every distance is 1 on a vertex's mask and 2 off it, so D is 1 and 2 off
+    the diagonal and 0 on it.  D^L = Tr - D and D^Q = Tr + D negate or keep
+    those values and put each vertex's transmission on the diagonal:
+    2(n - 1) less its mask's popcount, its own bit not counted, with the
+    popcount taken once per distinct mask.  The diameter is not checked
+    here; `oracle` and `distance_matrix` check it.
+    """
+    n, masks = graph.order, graph.neighbors
+    if kind == MatrixKind.DISTANCE:
+        return MaskMatrix(masks, (0,) * n, 1, 2)
+    popcount = {mask: mask.bit_count() for mask in dict.fromkeys(masks)}
+    diagonal = tuple(2 * (n - 1) - popcount[m] + (m >> v & 1) for v, m in enumerate(masks))
+    sign = -1 if kind == MatrixKind.DISTANCE_LAPLACIAN else 1
+    return MaskMatrix(masks, diagonal, sign, 2 * sign)
+
+
 # '0'/'1' characters to the distances 2/1: one byte per vertex.
 _DISTANCE_BYTES = bytes.maketrans(b"01", b"\x02\x01")
 
@@ -169,33 +218,21 @@ _DISTANCE_BYTES = bytes.maketrans(b"01", b"\x02\x01")
 def distance_matrix(graph: NCGraph) -> IntMatrix:
     """All-pairs distances of a graph of diameter at most 2, off the masks.
 
-    Per distinct neighbour mask, once: its 2-step reach (the mask ORed with
-    its neighbours' masks, stopping once every vertex is covered) and a
-    template row, 1 on the mask's bits and 2 elsewhere, from the mask's
-    binary string by one `bytes.translate`.  Each vertex's row is its mask's
-    template with its own entry set to 0.  A vertex that, with its reach,
-    misses some vertex raises DisconnectedGraph naming the lowest one missed.
+    The diameter is checked first, by `_check_diameter_2`.  Then per
+    distinct neighbour mask, once, a template row: 1 on the mask's bits and
+    2 elsewhere, from the mask's binary string by one `bytes.translate`.
+    Each vertex's row is its mask's template with its own entry set to 0.
     """
-    n = graph.order
-    everything = (1 << n) - 1
-    neighbors = graph.neighbors
-    fmt = f"0{n}b"
-    by_mask: dict[int, tuple[int, bytes]] = {}
+    _check_diameter_2(graph)
+    fmt = f"0{graph.order}b"
+    templates: dict[int, bytes] = {}
     rows: list[tuple[int, ...]] = []
-    for src, mask in enumerate(neighbors):
-        if mask not in by_mask:
-            reach = mask
-            for u in bit_indices(mask):
-                reach |= neighbors[u]
-                if reach == everything:
-                    break
+    for src, mask in enumerate(graph.neighbors):
+        template = templates.get(mask)
+        if template is None:
             # the string lists vertex n - 1 first; reversed, vertex i is byte i
-            by_mask[mask] = reach, format(mask, fmt)[::-1].encode().translate(_DISTANCE_BYTES)
-        reach, template = by_mask[mask]
-        missing = everything & ~(reach | 1 << src)
-        if missing:
-            far = (missing & -missing).bit_length() - 1
-            raise DisconnectedGraph(f"vertex {far} is not within distance 2 of vertex {src}")
+            template = format(mask, fmt)[::-1].encode().translate(_DISTANCE_BYTES)
+            templates[mask] = template
         row = bytearray(template)
         row[src] = 0
         rows.append(tuple(row))
@@ -219,12 +256,25 @@ def matrix_of_kind(dist: IntMatrix, kind: MatrixKind) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-class Oracle(NamedTuple):
-    """Staged results of the oracle pipeline, up to the distance matrix."""
+@dataclass(frozen=True)
+class Oracle:
+    """Staged results of the oracle pipeline: the certified part-major graph.
+
+    `matrix` reads each kind's matrix off the neighbour masks, with no n x n
+    table.  The dense D is built by `distance_matrix` when `distance` is
+    first read, and kept; it is not a field, so equality and hashing see the
+    graph and partition only.
+    """
 
     graph: NCGraph
     partition: PartitionStructure
-    distance: IntMatrix
+
+    def matrix(self, kind: MatrixKind) -> MaskMatrix:
+        return mask_form(self.graph, kind)
+
+    @cached_property
+    def distance(self) -> IntMatrix:
+        return distance_matrix(self.graph)
 
 
 def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
@@ -236,12 +286,14 @@ def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
 
 
 def oracle(spec: GroupSpec, order_cap: int | None = None) -> Oracle:
-    """Group -> order-cap check -> graph -> certified part-major graph -> D.
+    """Group -> order-cap check -> graph -> certified part-major graph of diameter 2.
 
-    `matrix_of_kind` builds D^L or D^Q from D.  The cap (None for no cap) is
-    on the graph order |G| - |Z(G)|.  No family is abelian, so G/Z(G) is not
-    cyclic and |Z(G)| <= |G|/4: past 4 * cap the group is refused unenumerated,
-    and below that the exact order from the O(|G|) centre is checked first.
+    The cap (None for no cap) is on the graph order |G| - |Z(G)|.  No family
+    is abelian, so G/Z(G) is not cyclic and |Z(G)| <= |G|/4: past 4 * cap
+    the group is refused unenumerated, and below that the exact order from
+    the O(|G|) centre is checked first.  The diameter is checked here, so a
+    graph past 2 raises DisconnectedGraph before any matrix is read; no
+    n x n table is built.
     """
     if order_cap is not None and spec.order > 4 * order_cap:
         raise OrderCapExceeded(
@@ -250,4 +302,5 @@ def oracle(spec: GroupSpec, order_cap: int | None = None) -> Oracle:
     group = enumerate_elements(spec)
     check_order_cap(spec, group.order - len(center(group)), order_cap)
     graph, partition = part_major(non_commuting_graph(group))
-    return Oracle(graph, partition, distance_matrix(graph))
+    _check_diameter_2(graph)
+    return Oracle(graph, partition)

@@ -1,18 +1,20 @@
 """End-to-end arbitration: closed-form spectra against the exact oracle.
 
 The oracle (group -> graph -> matrix -> characteristic polynomial) is ground
-truth; the closed forms are claims under test.  The oracle's characteristic
-polynomial is kept factored, as `char_poly_factors` finds it: the checked
-twin eigenvalues and one dense block.  The closed form's entries are monic
-irreducible factors over Q; each is matched first against the eigenvalues,
-then divided out of the block, which by unique factorization decides
-equality of the expanded polynomials exactly.  A match and a mismatch build
-their report the same way, and it stays factored: the stated entries that
-matched, what is left of the oracle's factors (the residual) and the stated
-entries that did not divide.  Neither polynomial is expanded until
-something reads it; a mismatch's first differing coefficient is read off
-the factors, truncated just past that coefficient.  A mismatch never aborts
-a grid run.
+truth; the closed forms are claims under test.  The matrix is the kind's
+mask form (`Oracle.matrix`), each row read off a neighbour mask, so no
+n x n table is built.  The oracle's characteristic polynomial is kept
+factored, as `char_poly_factors` finds it: the checked twin eigenvalues,
+the first level read off the masks, and one dense block.  The closed form's
+entries are monic irreducible factors over Q; each is matched first against
+the eigenvalues, then divided out of the block, which by unique
+factorization decides equality of the expanded polynomials exactly.  A
+match and a mismatch build their report the same way, and it stays
+factored: the stated entries that matched, what is left of the oracle's
+factors (the residual) and the stated entries that did not divide.  Neither
+polynomial is expanded until something reads it; a mismatch's first
+differing coefficient is read off the factors, truncated just past that
+coefficient.  A mismatch never aborts a grid run.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .exactalg import (
     rational_roots_of_quadratic,
 )
 from .families import ALL_KINDS, EigDesc, GroupSpec, MatrixKind
-from .graphs import Oracle, OrderCapExceeded, PartitionStructure, matrix_of_kind, oracle
+from .graphs import Oracle, OrderCapExceeded, PartitionStructure, oracle
 
 DEFAULT_ORDER_CAP = 150
 
@@ -208,7 +210,7 @@ def _compare(spec: GroupSpec, kind: MatrixKind, staged: Oracle) -> VerificationR
     CPython's int-to-str digit limit raises its ValueError in this call, as
     does `entry_factor` on an entry it cannot expand.
     """
-    roots, block = char_poly_factors(matrix_of_kind(staged.distance, kind))
+    roots, block = char_poly_factors(staged.matrix(kind))
     stated = spectrum_for(spec, kind).entries
     block, unmatched = _factor_out(block, _minus(stated, roots.items()))
     shared = tuple(_minus(stated, unmatched))

@@ -374,6 +374,7 @@ def test_spectrum_oracle_refuses_over_cap_before_building_a_matrix(capsys, monke
 
     monkeypatch.setattr(graphs, "part_major", fail)
     monkeypatch.setattr(graphs, "distance_matrix", fail)
+    monkeypatch.setattr(graphs, "mask_form", fail)
     code, _, err = run(
         capsys, "spectrum", "--group", "qd", "--n", "7", "--matrix", "d",
         "--method", "oracle", "--order-cap", "50",

@@ -53,7 +53,7 @@ products.  Those copies are kept here as references.
 import struct
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import accumulate, chain, repeat
 from math import gcd
 from operator import add, itemgetter, mul, sub
@@ -277,9 +277,9 @@ def reference_eigenbasis_per_vector(kind, n):
     if kind == D:
         raise ValueError("eigenbasis is available for dl and dq only")
     spec = GroupSpec.q4n(n)
-    graph, partition, distance = oracle(spec)
-    matrix, order = matrix_of_kind(distance, kind), graph.order
-    big, *small = partition.classes
+    staged = oracle(spec)
+    matrix, order = matrix_of_kind(staged.distance, kind), staged.graph.order
+    big, *small = staged.partition.classes
     shapes = {
         "all-ones": lambda: [((tuple(range(order)), 1),)],
         "big-part-vs-one-small-part": lambda: [
@@ -1276,10 +1276,11 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
     # stay 3 x 3; x^3 - 6x^2 - 3x + 2 (D) has no rational root.  The D^L
     # leader block's three leaders are twins, so it splits to order 1.
     graph, partition = part_major(complete_multipartite((1, 2, 3)))
-    staged = Oracle(graph, partition, distance_matrix(graph))
+    staged = Oracle(graph, partition)
     blocks = [char_poly_factors(matrix_of_kind(staged.distance, kind))[1]
               for kind in ALL_KINDS]
     assert [b.degree for b in blocks] == [3, 1, 3]
+    assert [char_poly_factors(staged.matrix(kind))[1] for kind in ALL_KINDS] == blocks
     spec = GroupSpec.q4n(2)  # Q_8: graph order 6, stated forms of K_{2,2,2}
     for kind in ALL_KINDS:
         report = _compare(spec, kind, staged)
@@ -1299,16 +1300,27 @@ def test_factored_comparison_keeps_a_cubic_block_unsplit():
             assert report.matched == (kind == DL)
 
 
+class BfsOracle(Oracle):
+    """An oracle on a graph of any diameter: D by the reference BFS, each kind dense."""
+
+    @cached_property
+    def distance(self):
+        return reference_distance_matrix(self.graph)
+
+    def matrix(self, kind):
+        return matrix_of_kind(self.distance, kind)
+
+
 def test_factored_comparison_divides_stated_entries_out_of_a_quartic_block():
     # The path P_4 is no complete multipartite graph and has no twins, so its
     # D^L stays one quartic block, x^4 - 20x^3 + 128x^2 - 264x
     # = x (x - 6) (x^2 - 14x + 44), whose quadratic factor has the
     # non-square discriminant 20.
-    # P_4 has diameter 3, past what `distance_matrix` reads, so D comes from
-    # the reference BFS.
+    # P_4 has diameter 3, past what `distance_matrix` and the mask form
+    # read, so D comes from the reference BFS and each kind is dense.
     graph = NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100))
-    staged = Oracle(graph, None, reference_distance_matrix(graph))
-    roots, block = char_poly_factors(matrix_of_kind(staged.distance, DL))
+    staged = BfsOracle(graph, None)
+    roots, block = char_poly_factors(staged.matrix(DL))
     assert not roots and block == IntPolynomial((0, -264, 128, -20, 1))
     spec = GroupSpec.q4n(2)
     pair = QuadraticEig(14, 44)

@@ -56,7 +56,6 @@ from .graphs import (
 from .groups import (
     FiniteGroup,
     center,
-    centralizer,
     enumerate_elements,
     is_ca_group,
 )

@@ -11,7 +11,8 @@ indices until it finds no twin.  The first pass has two readers: a dense
 `IntMatrix` compares column slices (`twin_eigenvalue`), and a `MaskMatrix`,
 a symmetric matrix given by one neighbour mask per index, a diagonal and
 two off-diagonal values, compares masks and forms the leader block from
-popcounts, with no n x n table; every later pass, and the engine, is dense.
+the bits of the sparser of each leader's mask and its complement, with no
+n x n table; every later pass, and the engine, is dense.
 For the part-major D, D^L and D^Q of a complete multipartite graph the
 first runs are its parts, with all parts of one vertex as a single run; for
 the four families here the recursion ends in a block of order 2 for D and
@@ -42,11 +43,19 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class DegenerateQuadratic(ValueError):
     """Leading coefficient of a quadratic is zero."""
+
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative integer, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,6 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
         return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -123,19 +125,29 @@ class MaskMatrix:
 
         Run i is the index range [bounds[i], bounds[i+1]) and s_j, run j's
         first index, its leader.  Column s_j is row s_j: `on` on its mask's
-        bits and `off` elsewhere, so with pc the popcount of its mask over
-        run i, bit s_j left out, B[i][j] = on * pc + off * (len - pc), and on
-        run j itself diagonal[s_j] takes the place of one `off`.  The popcounts
-        are counts of '1' in the mask's binary string, one per run and leader.
+        bits and `off` elsewhere, bit s_j left out, with diagonal[s_j] in
+        its place.  So B[i][j] is `off` times the length of run i, plus
+        on - off per mask bit in run i; or `on` times the length, less
+        on - off per bit of the complement in run i.  Whichever of the mask
+        and its complement has fewer bits is read, and each of its bits is
+        placed in its run by bisection; then diagonal[s_j] replaces the one
+        `off` or `on` counted at s_j.
         """
-        fmt, on, off = f"0{self.n}b", self.on, self.off
-        runs = list(zip(bounds, bounds[1:]))
+        on, off = self.on, self.off
+        full, step = (1 << self.n) - 1, on - off
+        lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+        off_sums, on_sums = [off * k for k in lengths], [on * k for k in lengths]
         cols = []
-        for j, (s, _) in enumerate(runs):
-            # the string lists index n - 1 first; reversed, index i is character i
-            bits = format(self.masks[s] & ~(1 << s), fmt)[::-1]
-            col = [off * (b - a) + (on - off) * bits.count("1", a, b) for a, b in runs]
-            col[j] += self.diagonal[s] - off
+        for j, s in enumerate(bounds[:-1]):
+            mask = self.masks[s] & full & ~(1 << s)
+            rest = full ^ mask ^ (1 << s)
+            if mask.bit_count() <= rest.bit_count():
+                col, sparse, delta, own = off_sums[:], mask, step, off
+            else:
+                col, sparse, delta, own = on_sums[:], rest, -step, on
+            for u in bit_indices(sparse):
+                col[bisect_right(bounds, u) - 1] += delta
+            col[j] += self.diagonal[s] - own
             cols.append(col)
         return IntMatrix(tuple(zip(*cols)))
 

@@ -1,9 +1,11 @@
 """Non-commuting graphs, complete-multipartite certification, distance matrices.
 
-A graph is one neighbour bitmask per vertex: the group's commutation masks,
-re-indexed once onto the non-central elements.  It is complete multipartite iff
-"equal or non-adjacent" is an equivalence relation, which certification checks
-on the masks; the part-major graph is then built from the certified part sizes.
+A graph is one neighbour bitmask per vertex.  It is complete multipartite iff
+"equal or non-adjacent" is an equivalence relation, which one routine checks
+on the masks; the part-major graph is then built from the certified part
+sizes.  The oracle runs that check on the group's own commutation masks, as
+a non-central x's closed non-neighbourhood is C(x) \\ Z(G), so it builds no
+re-indexed graph; `non_commuting_graph` builds one for those who read it.
 
 The non-commuting graph of a non-abelian group is connected with diameter 2
 (Abdollahi, Akbari & Maimani, *Non-commuting graph of a group*, J. Algebra 298
@@ -18,15 +20,15 @@ and `matrix_of_kind` materialize the dense rows for those who read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, neg
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .exactalg import IntMatrix, MaskMatrix
+from .exactalg import IntMatrix, MaskMatrix, bit_indices
 from .families import GroupSpec, MatrixKind
-from .groups import FiniteGroup, bit_indices, center, enumerate_elements
+from .groups import FiniteGroup, center, enumerate_elements
 
 
 class AbelianGroupError(ValueError):
@@ -91,6 +93,15 @@ class PartitionStructure:
     classes: tuple[tuple[int, ...], ...]
 
 
+def _non_central(group: FiniteGroup) -> list[int]:
+    """Indices of the elements whose commutation mask is not all ones, ascending."""
+    everything = (1 << group.order) - 1
+    idx = [i for i, mask in enumerate(group.commuting_masks) if mask != everything]
+    if not idx:
+        raise AbelianGroupError(f"{group.spec.label()} is abelian, no vertices")
+    return idx
+
+
 def non_commuting_graph(group: FiniteGroup) -> NCGraph:
     """Graph on the non-central elements, adjacent iff they do not commute.
 
@@ -99,10 +110,7 @@ def non_commuting_graph(group: FiniteGroup) -> NCGraph:
     distinct mask once, so vertices with equal masks share one row.
     """
     masks = group.commuting_masks
-    everything = (1 << group.order) - 1
-    idx = [i for i, mask in enumerate(masks) if mask != everything]
-    if not idx:
-        raise AbelianGroupError(f"{group.spec.label()} is abelian, no vertices")
+    idx = _non_central(group)
     full = (1 << len(idx)) - 1
     distinct = list(dict.fromkeys(masks[i] for i in idx))
     row_of = dict(zip(distinct, (full & ~r for r in select_bits(distinct, idx))))
@@ -124,6 +132,32 @@ def complete_multipartite(sizes: Iterable[int]) -> NCGraph:
     return NCGraph(tuple(range(n)), tuple(neighbors))
 
 
+def _certified_parts(
+    keys: Iterable[tuple[int, int]], vertex: Callable[[int], int] = lambda u: u
+) -> list[list[int]]:
+    """The certificate: indices grouped by closed non-neighbourhood, parts listed part-major.
+
+    `keys` pairs each index u, ascending, with its key: the bitmask of u and
+    every index not adjacent to it.  The groups of equal keys are the parts
+    iff each group's members equal its key; as each key holds its own index,
+    that is iff the group's size is the key's popcount.  Otherwise
+    NotCompleteMultipartite names two witnesses, each index u named as the
+    graph vertex vertex(u).  Parts come largest first, ties by smallest
+    index.
+    """
+    members: dict[int, list[int]] = {}
+    for u, key in keys:
+        members.setdefault(key, []).append(u)
+    for key, group in members.items():
+        if len(group) != key.bit_count():
+            v = next(bit_indices(key & ~sum(1 << u for u in group)))
+            raise NotCompleteMultipartite(
+                f"vertices {vertex(group[0])} and {vertex(v)} are not adjacent but have "
+                "different non-neighbourhoods"
+            )
+    return sorted(members.values(), key=lambda c: (-len(c), c[0]))
+
+
 def partition_structure(graph: NCGraph) -> PartitionStructure:
     """Certify the graph as complete multipartite and return its parts.
 
@@ -131,39 +165,35 @@ def partition_structure(graph: NCGraph) -> PartitionStructure:
     not adjacent to it); the groups are the parts iff each one's members equal
     its key.  Otherwise NotCompleteMultipartite names two witness vertices.
     """
-    n = graph.order
-    everything = (1 << n) - 1
-    members: dict[int, int] = {}
-    for u, row in enumerate(graph.neighbors):
-        key = everything & ~row | 1 << u
-        members[key] = members.get(key, 0) | 1 << u
-    for key, group in members.items():
-        if group != key:
-            u, v = next(bit_indices(group)), next(bit_indices(key & ~group))
-            raise NotCompleteMultipartite(
-                f"vertices {u} and {v} are not adjacent but have different "
-                "non-neighbourhoods"
-            )
-    classes = sorted(
-        (tuple(bit_indices(group)) for group in members.values()),
-        key=lambda c: (-len(c), c[0]),
+    everything = (1 << graph.order) - 1
+    classes = _certified_parts(
+        (u, everything & ~row | 1 << u) for u, row in enumerate(graph.neighbors)
     )
-    return PartitionStructure(tuple(len(c) for c in classes), tuple(classes))
+    return PartitionStructure(tuple(map(len, classes)), tuple(map(tuple, classes)))
+
+
+def _part_major_layout(
+    vertices: Sequence, classes: Sequence[Sequence[int]]
+) -> tuple[NCGraph, PartitionStructure]:
+    """The certified `classes` of `vertices` as consecutive index blocks, in order.
+
+    The certificate proves each vertex adjacent to exactly the vertices
+    outside its part, so the rows are `complete_multipartite(sizes)`'s.
+    """
+    sizes = tuple(map(len, classes))
+    verts = tuple(vertices[i] for cls in classes for i in cls)
+    blocks = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
+    graph = NCGraph(verts, complete_multipartite(sizes).neighbors)
+    return graph, PartitionStructure(sizes, blocks)
 
 
 def part_major(graph: NCGraph) -> tuple[NCGraph, PartitionStructure]:
     """Certify, then list the vertices part by part as consecutive index blocks.
 
-    Largest part first; within a part the original vertex order is kept.  The
-    certificate proves each vertex adjacent to exactly the vertices outside its
-    part, so the rows are `complete_multipartite(sizes)`'s (the diagonal ignored).
+    Largest part first; within a part the original vertex order is kept, and
+    the rows are `complete_multipartite(sizes)`'s (the diagonal ignored).
     """
-    partition = partition_structure(graph)
-    sizes = partition.sizes
-    verts = tuple(graph.vertices[i] for cls in partition.classes for i in cls)
-    blocks = tuple(tuple(range(e - s, e)) for s, e in zip(sizes, accumulate(sizes)))
-    reordered = NCGraph(verts, complete_multipartite(sizes).neighbors)
-    return reordered, replace(partition, classes=blocks)
+    return _part_major_layout(graph.vertices, partition_structure(graph).classes)
 
 
 def _check_diameter_2(graph: NCGraph) -> None:
@@ -286,14 +316,18 @@ def check_order_cap(spec: GroupSpec, order: int, order_cap: int | None) -> None:
 
 
 def oracle(spec: GroupSpec, order_cap: int | None = None) -> Oracle:
-    """Group -> order-cap check -> graph -> certified part-major graph of diameter 2.
+    """Group -> order-cap check -> certified part-major graph of diameter 2.
 
     The cap (None for no cap) is on the graph order |G| - |Z(G)|.  No family
     is abelian, so G/Z(G) is not cyclic and |Z(G)| <= |G|/4: past 4 * cap
     the group is refused unenumerated, and below that the exact order from
-    the O(|G|) centre is checked first.  The diameter is checked here, so a
-    graph past 2 raises DisconnectedGraph before any matrix is read; no
-    n x n table is built.
+    the O(|G|) centre is checked first.  `partition_structure`'s check then
+    runs on the commutation masks, a non-central element's key being its
+    mask & (non-central) and a witness's graph index the popcount of the
+    non-central elements below it, and the part-major graph is laid out as
+    `part_major` lays it out.  The diameter is checked here, so a graph past
+    2 raises DisconnectedGraph before any matrix is read; no n x n table is
+    built.
     """
     if order_cap is not None and spec.order > 4 * order_cap:
         raise OrderCapExceeded(
@@ -301,6 +335,12 @@ def oracle(spec: GroupSpec, order_cap: int | None = None) -> Oracle:
         )
     group = enumerate_elements(spec)
     check_order_cap(spec, group.order - len(center(group)), order_cap)
-    graph, partition = part_major(non_commuting_graph(group))
+    masks, idx = group.commuting_masks, _non_central(group)
+    noncentral = sum(1 << i for i in idx)
+    classes = _certified_parts(
+        ((i, masks[i] & noncentral | 1 << i) for i in idx),
+        lambda i: (noncentral & ((1 << i) - 1)).bit_count(),
+    )
+    graph, partition = _part_major_layout(group.elements, classes)
     _check_diameter_2(graph)
     return Oracle(graph, partition)

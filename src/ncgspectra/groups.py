@@ -15,8 +15,8 @@ parity only, so every block of a mask is the solution set of one linear
 congruence: all of the block, none of it, or an arithmetic progression.  The
 masks are built from such progressions with O(1) big-integer operations per
 element, and the centre from the same congruence at y = a and y = b with
-small integers; no product is taken.  Centralizers, the CA check and the
-non-commuting graph all read the masks.
+small integers; no product is taken.  The CA check and the non-commuting
+graph read the masks.
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable
 
+from .exactalg import bit_indices
 from .families import GroupElement, GroupSpec, Presentation
 
 Rule = Callable[[GroupElement, GroupElement], GroupElement]
@@ -66,14 +67,6 @@ def normal_form_rule(p: Presentation) -> Rule:
         return new(GroupElement, ((i + k * r_pow[j & 1] + wrap * s) % oa, e))
 
     return mult
-
-
-def bit_indices(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a non-negative integer, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _progression(step: int, count: int) -> int:
@@ -168,11 +161,6 @@ def center(group: FiniteGroup) -> set[GroupElement]:
     a_exps = [i for i in range(oa) if i * (r - 1) % oa == 0]
     b_exps = [j for j in range(ob) if r_one or j % 2 == 0]
     return {GroupElement(i, j) for j in b_exps for i in a_exps}
-
-
-def centralizer(group: FiniteGroup, x: GroupElement) -> set[GroupElement]:
-    mask = group.commuting_masks[group.index[x]]
-    return {group.elements[j] for j in bit_indices(mask)}
 
 
 def is_ca_group(group: FiniteGroup) -> bool:

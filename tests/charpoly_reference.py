@@ -17,6 +17,16 @@ from typing import Sequence
 from ncgspectra.exactalg import POLY_ONE, IntMatrix, IntPolynomial
 
 
+def identity(n: int) -> IntMatrix:
+    """The n x n identity, as `IntMatrix.identity` built it."""
+    return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def trace(matrix: IntMatrix) -> int:
+    """The diagonal's sum, as `IntMatrix.trace` gave it."""
+    return sum(matrix.rows[i][i] for i in range(matrix.n))
+
+
 def products_but_one(factors: Sequence[IntPolynomial]) -> list[IntPolynomial]:
     """For each i, the product of every factor but factors[i], by prefix and suffix."""
     prefix = [POLY_ONE]

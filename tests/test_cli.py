@@ -372,7 +372,8 @@ def test_spectrum_oracle_refuses_over_cap_before_building_a_matrix(capsys, monke
     def fail(*args):
         raise AssertionError("matrix work done past the order cap")
 
-    monkeypatch.setattr(graphs, "part_major", fail)
+    monkeypatch.setattr(graphs, "_certified_parts", fail)
+    monkeypatch.setattr(graphs, "_part_major_layout", fail)
     monkeypatch.setattr(graphs, "distance_matrix", fail)
     monkeypatch.setattr(graphs, "mask_form", fail)
     code, _, err = run(

@@ -12,8 +12,8 @@ bit at a time.
 the centre before they were read from the presentation's congruences.  It
 takes any product rule on a normal-form grid, so it also serves groups that
 no `Presentation` expresses (S_4, split metacyclic groups with r of order
-greater than 2), through the same `centralizer`, `is_ca_group` and
-`non_commuting_graph`.
+greater than 2), through the same `centralizer` (the mask read, kept
+here), `is_ca_group` and `non_commuting_graph`.
 """
 
 import itertools
@@ -38,7 +38,6 @@ from ncgspectra import (
     NotCompleteMultipartite,
     PartitionStructure,
     center,
-    centralizer,
     complete_multipartite,
     default_grid,
     distance_matrix,
@@ -48,6 +47,7 @@ from ncgspectra import (
     partition_structure,
 )
 from ncgspectra.graphs import select_bits
+from ncgspectra.groups import bit_indices
 
 # The groups of the structure-large benchmark workload: just beyond the
 # default verify cap, graph orders 254, 158, 155, 153 and 154.
@@ -212,6 +212,12 @@ def reference_center(group):
         for x in group.elements
         if all(mult(x, g) == mult(g, x) for g in group.elements)
     }
+
+
+def centralizer(group, x):
+    """C(x) read off x's commutation mask, as `ncgspectra.groups.centralizer` did."""
+    mask = group.commuting_masks[group.index[x]]
+    return {group.elements[j] for j in bit_indices(mask)}
 
 
 def reference_centralizer(group, x):

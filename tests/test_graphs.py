@@ -1,8 +1,11 @@
 from collections import Counter
+from unittest import mock
 
 import pytest
-from test_commutation import RegularGroup
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ncgspectra.graphs as graphs
 from ncgspectra import (
     AbelianGroupError,
     DisconnectedGraph,
@@ -27,6 +30,12 @@ from ncgspectra import (
     partition_structure,
 )
 from ncgspectra.families import Presentation
+from ncgspectra.graphs import Oracle
+from ncgspectra.groups import bit_indices
+
+from charpoly_reference import trace
+from test_commutation import LARGE_SPECS, RegularGroup, random_graphs, relabelled_multipartite
+from test_groups import presentations
 
 K2 = complete_multipartite([1, 1])
 DL = MatrixKind.DISTANCE_LAPLACIAN
@@ -192,7 +201,7 @@ def test_dl_dq_matrices():
         )
     )
     dq = matrix_of_kind(d, DQ)
-    assert dq.trace() == 36
+    assert trace(dq) == 36
     assert all(
         dq.rows[i][j] - dl.rows[i][j] == 2 * d.rows[i][j]
         for i in range(6)
@@ -218,13 +227,12 @@ def test_oracle_checks_order_cap_on_the_graph():
 
 
 def test_oracle_refuses_over_cap_before_building_the_graph(monkeypatch):
-    import ncgspectra.graphs as graphs
     from ncgspectra import verify_instance
 
-    def unreachable(group):
-        raise AssertionError("graph built for an over-cap instance")
+    def unreachable(*args):
+        raise AssertionError("graph certified for an over-cap instance")
 
-    monkeypatch.setattr(graphs, "non_commuting_graph", unreachable)
+    monkeypatch.setattr(graphs, "_certified_parts", unreachable)
     with pytest.raises(
         OrderCapExceeded, match=r"^QD_2048 graph order at least 3\|G\|/4 exceeds cap 150$"
     ):
@@ -248,7 +256,6 @@ def test_oracle_refuses_over_cap_without_the_masks(monkeypatch):
 
 
 def test_oracle_refuses_far_over_cap_before_enumerating(monkeypatch):
-    import ncgspectra.graphs as graphs
     from ncgspectra import verify_instance
 
     def unreachable(spec):
@@ -267,3 +274,109 @@ def test_centre_is_at_most_a_quarter_of_the_group(spec):
     # the bound behind refusing from spec.order: G/Z(G) is never cyclic here
     group = enumerate_elements(spec)
     assert 4 * len(center(group)) <= group.order == spec.order
+
+
+# The oracle certifies on the group's commutation masks.  Its result must be
+# the re-indexed graph's: part_major(non_commuting_graph(group)), checked for
+# diameter 2, or the same exception with the same message.
+
+P_4 = NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100))
+
+
+def reindexed_oracle(group):
+    graph, partition = part_major(non_commuting_graph(group))
+    graphs._check_diameter_2(graph)
+    return Oracle(graph, partition)
+
+
+def oracle_on(group):
+    """`oracle` on the given group in place of its spec's enumeration."""
+    with mock.patch.object(graphs, "enumerate_elements", lambda spec: group):
+        return oracle(group.spec)
+
+
+def outcome(build, group):
+    try:
+        return build(group)
+    except (AbelianGroupError, NotCompleteMultipartite, DisconnectedGraph) as exc:
+        return type(exc), str(exc)
+
+
+def masks_of(graph, central):
+    """Commutation masks with all-ones masks at the indices in `central` and
+    `graph` as the non-commuting graph of the others, in index order."""
+    n = graph.order + len(central)
+    everything = (1 << n) - 1
+    position = [i for i in range(n) if i not in central]
+    masks = [everything] * n
+    for v, row in enumerate(graph.neighbors):
+        masks[position[v]] = everything & ~sum(1 << position[u] for u in bit_indices(row))
+    return tuple(masks)
+
+
+def group_with_masks(masks):
+    """Z_n's elements under the label U_6, with the given commutation masks."""
+    group = FiniteGroup(GroupSpec.u6n(1), Presentation(len(masks), 1, 0, 1))
+    group.__dict__["commuting_masks"] = masks
+    return group
+
+
+@st.composite
+def stub_groups(draw):
+    """A random or near-multipartite graph, with up to three central elements
+    placed among its vertices."""
+    graph = draw(st.one_of(random_graphs(), relabelled_multipartite()))
+    extra = draw(st.integers(0, 3))
+    n = graph.order + extra
+    central = draw(st.sets(st.integers(0, n - 1), min_size=extra, max_size=extra))
+    return group_with_masks(masks_of(graph, central))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    default_grid() + LARGE_SPECS + [GroupSpec.qd(12), GroupSpec.qd(13)],
+    ids=lambda s: s.label(),
+)
+def test_mask_certificate_equals_the_reindexed_graphs(spec):
+    assert oracle(spec) == reindexed_oracle(enumerate_elements(spec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+@example(Presentation(4, 2, 2, 3))  # Q_8
+@example(Presentation(6, 2, 0, 1))  # abelian
+def test_mask_certificate_equals_the_reindexed_graphs_on_presentations(p):
+    group = FiniteGroup(GroupSpec.u6n(1), p)
+    assert outcome(oracle_on, group) == outcome(reindexed_oracle, group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stub_groups())
+@example(group_with_masks(masks_of(P_4, {0, 3})))
+@example(group_with_masks(masks_of(complete_multipartite([3]), {1})))  # diameter past 2
+@example(group_with_masks(masks_of(NCGraph((0, 1, 2), (0b111, 0b001, 0b001)), {2})))
+def test_mask_certificate_equals_the_reindexed_graphs_on_stub_masks(group):
+    assert outcome(oracle_on, group) == outcome(reindexed_oracle, group)
+
+
+def test_mask_certificate_names_the_reindexed_graphs_witnesses():
+    # group indices 1, 2, 4 and 5 are P_4's vertices 0 to 3; the witnesses at
+    # group indices 1 and 4 are named by their graph indices 0 and 2
+    group = group_with_masks(masks_of(P_4, {0, 3}))
+    with pytest.raises(NotCompleteMultipartite) as reindexed:
+        partition_structure(non_commuting_graph(group))
+    with pytest.raises(NotCompleteMultipartite) as masked:
+        oracle_on(group)
+    assert str(masked.value) == str(reindexed.value) == (
+        "vertices 0 and 2 are not adjacent but have different non-neighbourhoods"
+    )
+
+
+def test_oracle_builds_no_reindexed_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle re-indexed the commutation masks")
+
+    expected = [reindexed_oracle(enumerate_elements(spec)) for spec in default_grid()]
+    monkeypatch.setattr(graphs, "non_commuting_graph", refuse)
+    monkeypatch.setattr(graphs, "select_bits", refuse)
+    assert [oracle(spec) for spec in default_grid()] == expected

@@ -11,12 +11,13 @@ from ncgspectra import (
     GroupSpec,
     InvalidParameters,
     center,
-    centralizer,
     enumerate_elements,
     is_ca_group,
 )
 from ncgspectra.families import Presentation
 from ncgspectra.groups import normal_form_rule
+
+from test_commutation import centralizer
 
 E = GroupElement
 

@@ -32,6 +32,7 @@ from ncgspectra.exactalg import MaskMatrix, twin_eigenvalue
 from ncgspectra.graphs import mask_form
 
 from test_commutation import LARGE_SPECS, petersen, random_graphs, relabelled_multipartite
+from test_replaced_forms import leader_block_calls, reference_leader_block
 
 D, DL, DQ = ALL_KINDS
 
@@ -40,10 +41,15 @@ P_4 = NCGraph((0, 1, 2, 3), (0b0010, 0b0101, 0b1010, 0b0100))
 
 
 def assert_form_equals_dense(graph, kind):
+    """The form against the dense matrix, and its leader block against the
+    `str.count` copy on the first pass's runs and on singleton runs."""
     form = mask_form(graph, kind)
     dense = matrix_of_kind(distance_matrix(graph), kind)
     assert form.dense() == dense
-    assert char_poly_factors(form) == char_poly_factors(dense)
+    factors, calls = leader_block_calls(form)
+    assert factors == char_poly_factors(dense)
+    for bounds in [bounds for bounds, _ in calls] + [list(range(form.n + 1))]:
+        assert form.leader_block(bounds) == reference_leader_block(form, bounds)
     return form, dense
 
 
@@ -153,8 +159,25 @@ def test_a_set_diagonal_bit_is_ignored():
         assert_form_equals_dense(graph, kind)
 
 
+def test_the_leader_block_reads_the_sparser_of_mask_and_complement(monkeypatch):
+    # K_{1,4}: the centre's mask has four bits and its complement none, so the
+    # complement is read; each leaf's has one bit and its complement three
+    star = complete_multipartite((1, 4))
+    read = []
+    bits = exactalg.bit_indices
+    monkeypatch.setattr(exactalg, "bit_indices", lambda mask: read.append(mask) or bits(mask))
+    bounds = list(range(6))
+    for kind in ALL_KINDS:
+        read.clear()
+        form = mask_form(star, kind)
+        assert form.leader_block(bounds) == reference_leader_block(form, bounds)
+        assert read == [0, 1, 1, 1, 1]
+
+
 def test_oracle_refuses_a_diameter_3_graph_as_before(monkeypatch):
-    monkeypatch.setattr(graphs, "part_major", lambda graph: (P_4, None))
+    # the oracle's part-major layout is replaced by P_4, which its own
+    # diameter check must then refuse
+    monkeypatch.setattr(graphs, "_part_major_layout", lambda vertices, classes: (P_4, None))
     message = "^vertex 3 is not within distance 2 of vertex 0$"
     with pytest.raises(DisconnectedGraph, match=message):
         oracle(GroupSpec.q4n(2))

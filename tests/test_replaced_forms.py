@@ -47,7 +47,10 @@ off the residual and the unmatched product.
 M v and lambda v as n-tuples, where it now compares columns i and f by
 slices.  `IntPolynomial.__mul__` skipped the zero coefficients of its left
 operand only, where it now puts outside whichever operand that saves more
-products.  Those copies are kept here as references.
+products.  `MaskMatrix.leader_block` counted each leader's mask bits over
+each run by `str.count` on the mask's binary string, k^2 calls for k runs,
+where it now bisects the bits of the sparser of the mask and its complement
+into the runs.  Those copies are kept here as references.
 """
 
 import struct
@@ -105,7 +108,7 @@ from ncgspectra.closedform import (
     entry_factor,
     make_spectrum,
 )
-from ncgspectra.exactalg import POLY_ONE, char_poly_factors
+from ncgspectra.exactalg import POLY_ONE, MaskMatrix, char_poly_factors
 from ncgspectra.families import METACYCLIC_FAMILY, Q4N_FAMILY, scaled_root_pair
 from ncgspectra.graphs import Oracle, select_bits
 from ncgspectra.groups import Rule, _progression, bit_indices
@@ -1375,3 +1378,54 @@ def test_a_stated_entry_that_cannot_be_expanded_is_refused_on_a_match(kind):
         outcome = _compare_outcome(_compare, spec, kind, staged)
         assert outcome == _compare_outcome(reference_compare, spec, kind, staged)
     assert outcome == ("NonIntegralSpectrum", f"cannot expand entry {Fraction(desc)!r}")
+
+
+def reference_leader_block(form, bounds):
+    """B[i][j], the sum over run i of column s_j, from one `str.count` per run and leader."""
+    fmt, on, off = f"0{form.n}b", form.on, form.off
+    runs = list(zip(bounds, bounds[1:]))
+    cols = []
+    for j, (s, _) in enumerate(runs):
+        # the string lists index n - 1 first; reversed, index i is character i
+        bits = format(form.masks[s] & ~(1 << s), fmt)[::-1]
+        col = [off * (b - a) + (on - off) * bits.count("1", a, b) for a, b in runs]
+        col[j] += form.diagonal[s] - off
+        cols.append(col)
+    return IntMatrix(tuple(zip(*cols)))
+
+
+def leader_block_calls(form):
+    """`char_poly_factors(form)` and the (bounds, block) of each `leader_block` call it made."""
+    calls = []
+    sparse = MaskMatrix.leader_block
+
+    def recording(self, bounds):
+        block = sparse(self, bounds)
+        calls.append((list(bounds), block))
+        return block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MaskMatrix, "leader_block", recording)
+        factors = char_poly_factors(form)
+    return factors, calls
+
+
+@pytest.mark.parametrize(
+    "spec", default_grid() + LARGE_SPECS + [GroupSpec.qd(11)], ids=spec_id
+)
+def test_sparse_leader_block_equals_the_str_count_copy(spec):
+    staged = oracle(spec, 2100)
+    for kind in ALL_KINDS:
+        form = staged.matrix(kind)
+        _, calls = leader_block_calls(form)
+        assert len(calls) == 1
+        for bounds, block in calls:
+            assert block == reference_leader_block(form, bounds)
+
+
+def test_sparse_leader_block_factors_equal_the_str_count_ones_at_order_8190(monkeypatch):
+    staged = oracle(GroupSpec.qd(13), 8200)
+    forms = [staged.matrix(kind) for kind in ALL_KINDS]
+    sparse = [char_poly_factors(form) for form in forms]
+    monkeypatch.setattr(MaskMatrix, "leader_block", reference_leader_block)
+    assert [char_poly_factors(form) for form in forms] == sparse
